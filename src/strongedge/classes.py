@@ -78,10 +78,27 @@ THETA8_LABELS = frozenset(
     }
 )
 
-# Labels that count as "a 3(C) class" under theta7, for refinement tests.
+# Class groups that the catalogs and the discharge rules share.
+# The three 3(C) classes of theta7.
 THETA7_3C = frozenset(
     {ClassLabel.DEG3C_WEAK, ClassLabel.DEG3C_MODERATE, ClassLabel.DEG3C_STRONG}
 )
+# Every 3-vertex class of theta7.
+THETA7_DEG3 = THETA7_3C | {ClassLabel.DEG3A, ClassLabel.DEG3B, ClassLabel.DEG3D}
+# The two 4(C) classes of theta8.
+THETA8_4C = frozenset({ClassLabel.DEG4C_STRONG, ClassLabel.DEG4C_WEAK})
+# Every 3-vertex class of theta8.
+THETA8_DEG3 = frozenset(
+    {
+        ClassLabel.DEG3A,
+        ClassLabel.DEG3B_STRONG,
+        ClassLabel.DEG3B_WEAK,
+        ClassLabel.DEG3C,
+        ClassLabel.DEG3D,
+    }
+)
+# Every 4-vertex class of theta8.
+THETA8_DEG4 = THETA8_4C | {ClassLabel.DEG4A, ClassLabel.DEG4B, ClassLabel.DEG4D}
 
 
 class Classification(NamedTuple):

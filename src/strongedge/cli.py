@@ -161,13 +161,14 @@ def _cmd_check(args):
             raise ValueError(f"malformed coloring entry: {item!r}") from None
         try:
             e = g.edge_id(u, v)
-        except KeyError:
+        except (KeyError, TypeError):
             raise ValueError(f"({u}, {v}) is not an edge of the graph") from None
         if colors[e] is not None:
             raise ValueError(f"edge ({u}, {v}) colored twice")
         colors[e] = c
     if k is None:
-        k = max((c for c in colors if c is not None), default=0)
+        # Colors that are not ints are left for PartialColoring to reject.
+        k = max((c for c in colors if type(c) is int), default=0)
     ok, violations = is_valid_strong_coloring(
         build_conflict_graph(g), PartialColoring(k, colors)
     )

@@ -30,11 +30,12 @@ class PartialColoring:
     __slots__ = ("k", "colors")
 
     def __init__(self, k, colors):
-        if k < 0:
-            raise ValueError(f"palette size must be nonnegative, got {k}")
+        # type() rather than isinstance(): bool is an int subclass.
+        if type(k) is not int or k < 0:
+            raise ValueError(f"palette size must be a nonnegative int, got {k!r}")
         for e, c in enumerate(colors):
-            if c is not None and not (1 <= c <= k):
-                raise ValueError(f"edge {e}: color {c} outside 1..{k}")
+            if c is not None and not (type(c) is int and 1 <= c <= k):
+                raise ValueError(f"edge {e}: color {c!r} is not an int in 1..{k}")
         self.k = k
         self.colors = list(colors)
 

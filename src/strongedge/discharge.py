@@ -22,7 +22,15 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-from .classes import ClassLabel, Scheme, scheme_labels
+from .classes import (
+    THETA7_3C,
+    THETA7_DEG3,
+    THETA8_DEG3,
+    THETA8_DEG4,
+    ClassLabel,
+    Scheme,
+    scheme_labels,
+)
 from .patterns import find_configurations
 
 
@@ -60,38 +68,21 @@ def initial_charges(g, target):
 
 _L = ClassLabel
 
-_T7_3CLASSES = frozenset(
-    {
-        _L.DEG3A,
-        _L.DEG3B,
-        _L.DEG3C_WEAK,
-        _L.DEG3C_MODERATE,
-        _L.DEG3C_STRONG,
-        _L.DEG3D,
-    }
-)
-_T8_3CLASSES = frozenset(
-    {_L.DEG3A, _L.DEG3B_STRONG, _L.DEG3B_WEAK, _L.DEG3C, _L.DEG3D}
-)
-_T8_4CLASSES = frozenset(
-    {_L.DEG4A, _L.DEG4B, _L.DEG4C_STRONG, _L.DEG4C_WEAK, _L.DEG4D}
-)
-
 _THETA7_RULES = (
     DischargeRule(
         "T7.R1a", frozenset({_L.DEG4}), frozenset({_L.DEG2}),
         Fraction(6, 11),
     ),
     DischargeRule(
-        "T7.R1b", frozenset({_L.DEG4}), _T7_3CLASSES, Fraction(4, 33)
+        "T7.R1b", frozenset({_L.DEG4}), THETA7_DEG3, Fraction(4, 33)
     ),
     DischargeRule(
-        "T7.R2", frozenset({_L.DEG3B}), _T7_3CLASSES, Fraction(1, 22)
+        "T7.R2", frozenset({_L.DEG3B}), THETA7_DEG3, Fraction(1, 22)
     ),
     DischargeRule(
         "T7.R3",
         frozenset({_L.DEG3C_STRONG}),
-        _T7_3CLASSES,
+        THETA7_DEG3,
         Fraction(5, 132),
         Arity.ONE_DESIGNATED,
         frozenset({_L.DEG3B}),
@@ -99,10 +90,10 @@ _THETA7_RULES = (
     DischargeRule(
         "T7.R4",
         frozenset({_L.DEG3C_MODERATE}),
-        _T7_3CLASSES,
+        THETA7_DEG3,
         Fraction(1, 33),
         Arity.ONE_DESIGNATED,
-        frozenset({_L.DEG3C_WEAK, _L.DEG3C_MODERATE, _L.DEG3C_STRONG}),
+        THETA7_3C,
     ),
     DischargeRule(
         "T7.R5", frozenset({_L.DEG3C_WEAK}), frozenset({_L.DEG3D}),
@@ -122,13 +113,13 @@ _THETA8_RULES = (
         Fraction(8, 31),
     ),
     DischargeRule(
-        "T8.R2", frozenset({_L.DEG4A}), _T8_4CLASSES, Fraction(11, 124)
+        "T8.R2", frozenset({_L.DEG4A}), THETA8_DEG4, Fraction(11, 124)
     ),
     DischargeRule(
-        "T8.R3a", frozenset({_L.DEG4B}), _T8_3CLASSES, Fraction(8, 31)
+        "T8.R3a", frozenset({_L.DEG4B}), THETA8_DEG3, Fraction(8, 31)
     ),
     DischargeRule(
-        "T8.R3b", frozenset({_L.DEG4B}), _T8_4CLASSES, Fraction(1, 31)
+        "T8.R3b", frozenset({_L.DEG4B}), THETA8_DEG4, Fraction(1, 31)
     ),
     DischargeRule(
         "T8.R4a", frozenset({_L.DEG4C_STRONG}), frozenset({_L.DEG3C}),

@@ -1,12 +1,10 @@
 """Exact sparseness metrics: Ore degree, maximum average degree, bound formulas.
 
-The maximum average degree mad(G) is the maximum of 2|E(S)|/|S| over
-nonempty vertex subsets S.  It is computed exactly by binary search on the
-density rho = |E(S)|/|S| with a max-flow feasibility test per candidate,
-followed by exact rational recovery: achievable densities have denominator
-at most n, and two distinct such fractions differ by at least 1/(n(n-1)),
-so once the search interval is narrower than that the answer is the unique
-small-denominator fraction inside, found by a Stern-Brocot style walk.
+mad(G) is the maximum of 2|E(S)|/|S| over nonempty vertex subsets S.  It is
+computed by Dinkelbach iteration on Goldberg's min cut: from rho = m/n, each
+cut either finds a set S denser than rho, which sets rho = |E(S)|/|S|, or
+proves that no set beats rho.  rho rises strictly through the finitely many
+values |E(S)|/|S|, so it stops exactly at the maximum density.
 
 All rationals are ``fractions.Fraction``; nothing here ever rounds.
 """
@@ -184,51 +182,23 @@ def _dense_subset(g, rho):
     return tuple(v for v in range(n) if side[v])
 
 
-def _simplest_in(lo, hi, lo_strict, hi_strict):
-    """Least-denominator fraction x with lo < x <= hi (strictness per flags).
-
-    Continued-fraction descent, equivalent to walking the Stern-Brocot tree:
-    take the integer part if an admissible integer exists, else recurse on
-    the reciprocal of the fractional window (which swaps the bounds and
-    their strictness).  Requires a nonempty window with lo >= 0.
-    """
-    i = lo.numerator // lo.denominator
-    k = i + 1 if (lo_strict or lo != i) else i
-    if k < hi or (k == hi and not hi_strict):
-        return Fraction(k)
-    a = lo - i
-    b = hi - i
-    if a == 0:
-        q = ceil(1 / b)
-        if hi_strict and Fraction(1, q) == b:
-            q += 1
-        return i + Fraction(1, q)
-    y = _simplest_in(1 / b, 1 / a, hi_strict, lo_strict)
-    return i + 1 / y
-
-
 def mad_exact(g):
     """Exact mad(g) with a witnessing vertex subset.
 
-    Returns (value, witness): value = 2 * rho_star as a Fraction, witness a
-    sorted tuple of vertex ids whose induced subgraph attains it.  Raises
-    ValueError on an edgeless graph.
+    Returns (value, witness): value = 2 * rho_star as a Fraction, witness
+    the sorted tuple of vertex ids of the largest densest subset (the union
+    of all subsets of density rho_star).  Raises ValueError on an edgeless
+    graph.
+
+    The min-cut source side found at density rho is the smallest maximiser
+    of |E(S)| - rho*|S|, and these sets shrink as rho grows, so the last
+    improving set contains every densest subset and is itself one.
     """
     if g.m == 0:
         raise ValueError("mad is undefined for an edgeless graph")
-    n, m = g.n, g.m
-    # rho_star lies in (lo, hi]: the whole graph beats lo, nothing beats hi.
-    # lo stays >= 0 so every v->t capacity m + 2*rho - d(v) is nonnegative.
-    lo = max(Fraction(m, n) - 1, Fraction(0))
-    hi = Fraction(m + 1)
-    gap = Fraction(1, 2 * n * max(n - 1, 1))
-    while hi - lo > gap:
-        mid = (lo + hi) / 2
-        if _dense_subset(g, mid) is not None:
-            lo = mid
-        else:
-            hi = mid
-    rho = _simplest_in(lo, hi, True, False)
-    witness = _dense_subset(g, rho - gap)
-    assert witness, "feasibility at rho - gap must produce a witness"
+    rho, witness = Fraction(g.m, g.n), range(g.n)
+    while (dense := _dense_subset(g, rho)) is not None:
+        members = set(dense)
+        inside = sum(1 for u, v in g.edges if u in members and v in members)
+        rho, witness = Fraction(inside, len(dense)), dense
     return 2 * rho, tuple(sorted(witness))

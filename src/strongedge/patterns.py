@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .classes import ClassLabel, Scheme, classify
+from .classes import THETA7_3C, THETA8_4C, ClassLabel, Scheme, classify
 from .coloring import PartialColoring, erase_and_extend, k_colorable
 from .graph import build_conflict_graph, delete_vertex
 
@@ -345,9 +345,6 @@ def verify_reducibility(g, m, budget=10.0):
 
 L = ClassLabel
 
-_THETA7_3C = frozenset({L.DEG3C_WEAK, L.DEG3C_MODERATE, L.DEG3C_STRONG})
-_THETA8_4C = frozenset({L.DEG4C_STRONG, L.DEG4C_WEAK})
-
 
 def _pattern(pid, scheme, description, vertices, edges, nonedges, recipe):
     names = [pv.name for pv in vertices]
@@ -578,7 +575,7 @@ _THETA7_PATTERNS = (
             PatternVertex("x3", degree=3),
             PatternVertex("x4", classes_in=frozenset({L.DEG3D})),
             PatternVertex("x5", degree=3),
-            PatternVertex("y", classes_in=_THETA7_3C | {L.DEG3D}),
+            PatternVertex("y", classes_in=THETA7_3C | {L.DEG3D}),
         ),
         (
             ("x1", "x2"), ("x2", "x3"), ("x3", "x4"), ("x4", "x5"),
@@ -617,7 +614,7 @@ _THETA7_PATTERNS = (
                 classes_in=frozenset({L.DEG3C_MODERATE, L.DEG3C_STRONG}),
             ),
             PatternVertex("z1", classes_in=frozenset({L.DEG3D})),
-            PatternVertex("z2", classes_in=_THETA7_3C),
+            PatternVertex("z2", classes_in=THETA7_3C),
         ),
         (("x", "y1"), ("x", "y2"), ("x", "y3"), ("y1", "z1"), ("y2", "z2")),
         (("y1", "y2"), ("y1", "z2"), ("z1", "y2"), ("z1", "z2")),
@@ -790,12 +787,7 @@ _THETA8_PATTERNS = (
         "a 4D-vertex adjacent to a 3C-, 4C-, or 4D-vertex",
         (
             PatternVertex("x", classes_in=frozenset({L.DEG4D})),
-            PatternVertex(
-                "w",
-                classes_in=frozenset(
-                    {L.DEG3C, L.DEG4C_STRONG, L.DEG4C_WEAK, L.DEG4D}
-                ),
-            ),
+            PatternVertex("w", classes_in=THETA8_4C | {L.DEG3C, L.DEG4D}),
         ),
         (("x", "w"),),
         (),
@@ -806,9 +798,9 @@ _THETA8_PATTERNS = (
         Scheme.THETA8,
         "a triangle of 4C-vertices",
         (
-            PatternVertex("x1", classes_in=_THETA8_4C),
-            PatternVertex("x2", classes_in=_THETA8_4C),
-            PatternVertex("x3", classes_in=_THETA8_4C),
+            PatternVertex("x1", classes_in=THETA8_4C),
+            PatternVertex("x2", classes_in=THETA8_4C),
+            PatternVertex("x3", classes_in=THETA8_4C),
         ),
         (("x1", "x2"), ("x1", "x3"), ("x2", "x3")),
         (),
@@ -834,9 +826,9 @@ _THETA8_PATTERNS = (
         "3-vertex",
         (
             PatternVertex("x1", degree=3),
-            PatternVertex("x2", classes_in=_THETA8_4C),
-            PatternVertex("x3", classes_in=_THETA8_4C),
-            PatternVertex("x4", classes_in=_THETA8_4C),
+            PatternVertex("x2", classes_in=THETA8_4C),
+            PatternVertex("x3", classes_in=THETA8_4C),
+            PatternVertex("x4", classes_in=THETA8_4C),
         ),
         (("x1", "x2"), ("x2", "x3"), ("x3", "x4"), ("x4", "x1")),
         (("x1", "x3"),),
@@ -851,8 +843,8 @@ _THETA8_PATTERNS = (
             PatternVertex("x", classes_in=frozenset({L.DEG4C_WEAK})),
             PatternVertex("y1", classes_in=frozenset({L.DEG3C})),
             PatternVertex("y2", classes_in=frozenset({L.DEG3C})),
-            PatternVertex("z1", classes_in=_THETA8_4C),
-            PatternVertex("z2", classes_in=_THETA8_4C),
+            PatternVertex("z1", classes_in=THETA8_4C),
+            PatternVertex("z2", classes_in=THETA8_4C),
             PatternVertex("w1", degree=3),
             PatternVertex("w2", degree=3),
         ),

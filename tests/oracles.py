@@ -103,6 +103,22 @@ def max_average_degree(n, edges):
     return best
 
 
+def largest_densest_subset(n, edges):
+    """The largest vertex subset S maximising |E(S)|/|S|, as a sorted tuple.
+
+    It is unique: the union of two densest subsets is again densest.
+    """
+    edges = norm_edges(edges)
+    best, best_sub = Fraction(-1), ()
+    for size in range(1, n + 1):
+        for sub in combinations(range(n), size):
+            s = set(sub)
+            inside = sum(1 for u, v in edges if u in s and v in s)
+            if Fraction(inside, size) >= best:
+                best, best_sub = Fraction(inside, size), sub
+    return best_sub
+
+
 def has_sdr(sets):
     """Hall SDR existence by direct backtracking over the sets in order."""
 

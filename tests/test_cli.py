@@ -165,6 +165,13 @@ def test_check_rejects_malformed_files(capsys, c5_edges, tmp_path):
         json.dumps([{"edge": [0, 1]}]),
         json.dumps([{"edge": [0, 1], "color": 1}, {"edge": [1, 0], "color": 2}]),
         json.dumps([{"edge": [0, 2], "color": 1}]),  # not an edge of C5
+        json.dumps({"k": "5", "coloring": [{"edge": [0, 1], "color": 1}]}),
+        json.dumps({"k": True, "coloring": []}),
+        json.dumps([{"edge": [0, 1], "color": "1"}]),
+        json.dumps([{"edge": [0, 1], "color": True}]),
+        json.dumps([{"edge": [0, 1], "color": 1}, {"edge": [1, 2], "color": "2"}]),
+        json.dumps([{"edge": [[0], 1], "color": 1}]),
+        json.dumps([{"edge": [[0], [1]], "color": 1}]),
     ]
     for text in cases:
         p = tmp_path / "coloring.json"

@@ -96,6 +96,25 @@ def test_mad_exact_matches_bruteforce_random(rng):
         assert value == brute
         assert witness == tuple(sorted(witness))
         assert _induced_average_degree(g, set(witness)) == value
+        assert witness == oracles.largest_densest_subset(g.n, list(g.edges))
+
+
+def test_mad_exact_beyond_bruteforce_range():
+    value, witness = mad_exact(_graph(oracles.path(1500)))
+    assert value == Fraction(1499, 750)
+    assert witness == tuple(range(1500))
+    n, edges = oracles.complete(5)
+    tail = [(v, v + 1) for v in range(4, 1204)]
+    value, witness = mad_exact(Graph(n + 1200, edges + tail))
+    assert value == 4
+    assert witness == (0, 1, 2, 3, 4)
+    # Two K4s joined by a long path: the witness is both K4s, not one.
+    k4 = oracles.complete(4)[1]
+    second = [(u + 4, v + 4) for u, v in k4]
+    bridge = [(3, 8)] + [(v, v + 1) for v in range(8, 1007)] + [(1007, 4)]
+    value, witness = mad_exact(Graph(1008, k4 + second + bridge))
+    assert value == 3
+    assert witness == tuple(range(8))
 
 
 def test_mad_of_regular_graphs_is_the_degree():
