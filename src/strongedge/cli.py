@@ -159,9 +159,11 @@ def _cmd_check(args):
             c = item["color"]
         except (KeyError, TypeError, ValueError):
             raise ValueError(f"malformed coloring entry: {item!r}") from None
+        if type(u) is not int or type(v) is not int:
+            raise ValueError(f"edge endpoints must be ints: {item!r}")
         try:
             e = g.edge_id(u, v)
-        except (KeyError, TypeError):
+        except KeyError:
             raise ValueError(f"({u}, {v}) is not an edge of the graph") from None
         if colors[e] is not None:
             raise ValueError(f"edge ({u}, {v}) colored twice")

@@ -4,7 +4,10 @@ A pattern is a small constraint graph: named slots carrying degree or
 class requirements, required adjacencies, and required non-adjacencies.
 A match is an injective placement of the slots onto host vertices that
 satisfies every constraint; `find_configurations` enumerates all matches,
-deduplicated up to the pattern's own symmetries.  Patterns additionally
+deduplicated up to the pattern's own symmetries.  A pattern's symmetry
+group is computed once per process and cached: it depends only on the
+pattern's value (slots, edges, nonedges), never on the host graph, and a
+`Pattern` is an immutable, hashable tuple.  Patterns additionally
 carry a replayable recipe: delete one host vertex, color what remains
 exactly, optionally erase a few edge colors, then extend the coloring
 back over the missing edges.  `verify_reducibility` runs the recipe on a
@@ -14,6 +17,7 @@ the ceilings asserted in the catalog.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import NamedTuple
 
@@ -121,8 +125,12 @@ def match_satisfies(g, pattern, labels, assignment):
     return True
 
 
+@functools.cache
 def _pattern_automorphisms(pattern):
-    """Slot permutations preserving constraints, edges, and nonedges."""
+    """Slot permutations preserving constraints, edges, and nonedges.
+
+    Cached per pattern value, so each catalog group is computed once.
+    """
     p = len(pattern.vertices)
     idx = {pv.name: i for i, pv in enumerate(pattern.vertices)}
     edges = {frozenset((idx[u], idx[v])) for u, v in pattern.edges}

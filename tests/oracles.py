@@ -4,8 +4,9 @@ Everything here works on bare ``(n, edges)`` data, a vertex count and a
 list of (u, v) pairs, and deliberately avoids importing the package under
 test.  The implementations favor the most literal definition over speed:
 BFS in the line graph for the sees relation, plain backtracking in input
-order for colorability, subset sweeps for density, permutation sweeps for
-subgraph embeddings and isomorphism.
+order for colorability (new colors opened in first-use order), subset
+sweeps for density, permutation sweeps for subgraph embeddings and
+isomorphism.
 """
 
 from fractions import Fraction
@@ -57,7 +58,12 @@ def sees_pairs(n, edges):
 
 
 def strong_k_colorable(n, edges, k):
-    """Plain backtracking: color edges in input order with colors 0..k-1."""
+    """Plain backtracking: color edges in input order with colors 0..k-1.
+
+    An edge may open a new color only as the highest color used so far
+    plus one.  This loses no coloring: renaming the colors of any proper
+    coloring in order of first use gives one of this form.
+    """
     edges = norm_edges(edges)
     m = len(edges)
     conflict = [set() for _ in range(m)]
@@ -66,19 +72,19 @@ def strong_k_colorable(n, edges, k):
         conflict[j].add(i)
     colors = [-1] * m
 
-    def go(i):
+    def go(i, top):
         if i == m:
             return True
         used = {colors[j] for j in conflict[i] if colors[j] >= 0}
-        for c in range(k):
+        for c in range(min(k, top + 2)):
             if c not in used:
                 colors[i] = c
-                if go(i + 1):
+                if go(i + 1, max(top, c)):
                     return True
                 colors[i] = -1
         return False
 
-    return go(0)
+    return go(0, -1)
 
 
 def strong_chromatic_index(n, edges):

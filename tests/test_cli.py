@@ -172,6 +172,10 @@ def test_check_rejects_malformed_files(capsys, c5_edges, tmp_path):
         json.dumps([{"edge": [0, 1], "color": 1}, {"edge": [1, 2], "color": "2"}]),
         json.dumps([{"edge": [[0], 1], "color": 1}]),
         json.dumps([{"edge": [[0], [1]], "color": 1}]),
+        json.dumps([{"edge": [0.0, 1], "color": 1}]),
+        json.dumps([{"edge": [0, 1.0], "color": 1}]),
+        json.dumps([{"edge": [True, 2], "color": 1}]),
+        json.dumps([{"edge": [0, True], "color": 1}]),
     ]
     for text in cases:
         p = tmp_path / "coloring.json"

@@ -20,6 +20,7 @@ from strongedge import (
     match_satisfies,
     verify_reducibility,
 )
+from strongedge.patterns import _pattern_automorphisms
 
 THETA7_IDS = [
     "deg-outside-234",
@@ -100,6 +101,23 @@ def _satisfies_local(g, pattern, labels, mapping):
     return True
 
 
+def _brute_automorphisms(pattern):
+    """Slot permutations that preserve every slot's constraints and map
+    the edge and nonedge sets onto themselves, by a full sweep."""
+    p = len(pattern.vertices)
+    sigs = [pv[1:] for pv in pattern.vertices]
+    idx = {pv.name: i for i, pv in enumerate(pattern.vertices)}
+    eset = {frozenset((idx[u], idx[v])) for u, v in pattern.edges}
+    nset = {frozenset((idx[u], idx[v])) for u, v in pattern.nonedges}
+    return [
+        perm
+        for perm in itertools.permutations(range(p))
+        if all(sigs[i] == sigs[perm[i]] for i in range(p))
+        and {frozenset(perm[x] for x in e) for e in eset} == eset
+        and {frozenset(perm[x] for x in e) for e in nset} == nset
+    ]
+
+
 def _brute_matches(g, scheme):
     """All catalog matches by exhaustive injective placement, canonical
     under slot permutations that preserve the pattern's structure."""
@@ -110,17 +128,7 @@ def _brute_matches(g, scheme):
         if g.n < p:
             continue
         names = [pv.name for pv in pattern.vertices]
-        sigs = [pv[1:] for pv in pattern.vertices]
-        idx = {nm: i for i, nm in enumerate(names)}
-        eset = {frozenset((idx[u], idx[v])) for u, v in pattern.edges}
-        nset = {frozenset((idx[u], idx[v])) for u, v in pattern.nonedges}
-        autos = [
-            perm
-            for perm in itertools.permutations(range(p))
-            if all(sigs[i] == sigs[perm[i]] for i in range(p))
-            and {frozenset(perm[x] for x in e) for e in eset} == eset
-            and {frozenset(perm[x] for x in e) for e in nset} == nset
-        ]
+        autos = _brute_automorphisms(pattern)
         for combo in itertools.permutations(range(g.n), p):
             mapping = dict(zip(names, combo))
             if _satisfies_local(g, pattern, labels, mapping):
@@ -148,6 +156,25 @@ def test_matcher_against_exhaustive_placement(rng, scheme):
         got = {(m.pattern_id, tuple(h for _, h in m.assignment)) for m in found}
         assert got == _brute_matches(g, scheme)
         assert len(got) == len(found)  # no duplicates survive
+
+
+def test_pattern_symmetry_groups_computed_once(rng):
+    _pattern_automorphisms.cache_clear()
+    hosts = [Graph(*oracles.petersen()), Graph(*oracles.cycle(5))]
+    hosts += [random_graph(rng, 7, 0.5) for _ in range(3)]
+    for g in hosts:
+        for scheme in (Scheme.THETA7, Scheme.THETA8):
+            find_configurations(g, scheme, classify(g, scheme).labels)
+    patterns = catalog(Scheme.THETA7) + catalog(Scheme.THETA8)
+    assert len(patterns) == 20
+    info = _pattern_automorphisms.cache_info()
+    assert info.misses <= len(patterns)
+    assert info.hits >= len(patterns) * (len(hosts) - 1)
+    for pattern in patterns:
+        cached = _pattern_automorphisms(pattern)
+        brute = _brute_automorphisms(pattern)
+        assert len(cached) == len(set(cached))
+        assert set(cached) == set(brute), pattern.id
 
 
 def test_matches_are_sorted_and_verifiable():
