@@ -17,6 +17,12 @@ def corpus7():
     return [g for n in range(1, 8) for g in enumerate_connected(n)]
 
 
+@pytest.fixture(scope="session")
+def corpus8():
+    """All connected graphs on 1..8 vertices, in stream order."""
+    return [g for n in range(1, 9) for g in enumerate_connected(n)]
+
+
 def random_graph(rng, n, p=0.5):
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p

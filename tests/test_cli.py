@@ -1,8 +1,10 @@
 """The command-line interface: subcommands, formats, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -330,10 +332,13 @@ def test_verify_exit_2_on_failure(capsys, monkeypatch):
 
 
 def test_console_entry_point(c5_edges):
+    # the child imports strongedge from where this process found it
+    src = Path(strongedge.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-m", "strongedge.cli", "metrics", c5_edges],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n"] == 5
