@@ -11,8 +11,11 @@ A strong edge-coloring is a proper vertex coloring of the conflict graph
   certified violating subfamily when none exists,
 * the erase-and-extend maneuver: uncolor chosen edges, then retry by
   same-color reuse, by SDR, or by plain greedy, in that order,
-* an exact decision procedure (saturation-ordered branch and bound) and
-  an exact minimum-palette computation built on it.
+* an exact decision procedure: branch and bound in DSATUR order (Brelaz
+  1979), run as one loop over an explicit stack with each edge's
+  forbidden colors kept as an int bitmask, so it has no recursion-depth
+  limit,
+* an exact minimum-palette computation built on it.
 
 Everything is deterministic: ties break by smallest edge id, colors are
 tried ascending, and certificates depend only on the input.
@@ -327,11 +330,14 @@ class SolveResult(NamedTuple):
 def k_colorable(cg, k, time_budget=10.0):
     """Decide whether the conflict graph admits a proper k-coloring.
 
-    Saturation-ordered branch and bound: always branch on the uncolored
-    edge seeing the most distinct colors, ties broken by smallest edge id;
-    try its feasible colors ascending, capped at one beyond the highest
-    color used so far, which breaks color-name symmetry without losing
-    completeness.  The wall-clock budget is polled every 1024 nodes.
+    Saturation-ordered branch and bound in Brelaz's DSATUR order: always
+    branch on the uncolored edge seeing the most distinct colors, ties
+    broken by smallest edge id; try its feasible colors ascending, capped
+    at one beyond the highest color used so far, which breaks color-name
+    symmetry without losing completeness.  The search is one loop over an
+    explicit stack of colored edges, so it has no recursion-depth limit
+    however many edges there are.  Each edge's forbidden colors are an int
+    bitmask.  The wall-clock budget is polled every 1024 nodes.
     """
     if k < 1:
         raise ValueError(f"palette size must be >= 1, got {k}")
@@ -339,63 +345,53 @@ def k_colorable(cg, k, time_budget=10.0):
     if m == 0:
         return SolveResult("SAT", PartialColoring.empty(k, 0), 0, 0)
     start = time.monotonic()
-    colors = [0] * m  # 0 = uncolored, else 1..k
-    # neighbor_colors[e][col] counts colored conflict neighbors with col.
-    neighbor_colors = [[0] * (k + 1) for _ in range(m)]
-    sat = [0] * m  # distinct colors among colored neighbors
+    sees = cg.sees
+    forb = [0] * m  # bit c set: a colored neighbor has color c
+    # Popcount of forb while uncolored, -1 once colored, so that
+    # sat.index(max(sat)) is the branching edge.
+    sat = [0] * m
+    # One frame per colored edge: (edge, its untried color bits, the
+    # uncolored neighbors whose forb gained its color, that color's bit,
+    # max_used before it was colored).
+    stack = []
+    max_used = 0
     nodes = 0
-
-    def pick():
-        best = None
-        best_sat = -1
-        for e in range(m):
-            if colors[e] == 0 and sat[e] > best_sat:
-                best_sat = sat[e]
-                best = e
-        return best
-
-    def assign(e, col):
-        colors[e] = col
-        for e2 in cg.sees[e]:
-            nc = neighbor_colors[e2]
-            nc[col] += 1
-            if nc[col] == 1:
-                sat[e2] += 1
-
-    def unassign(e, col):
-        colors[e] = 0
-        for e2 in cg.sees[e]:
-            nc = neighbor_colors[e2]
-            nc[col] -= 1
-            if nc[col] == 0:
-                sat[e2] -= 1
-
-    def solve(depth, max_used):
-        nonlocal nodes
+    verdict = "UNSAT"
+    while True:
         nodes += 1
-        if nodes % 1024 == 0 and time.monotonic() - start > time_budget:
-            return "TIMEOUT"
-        if depth == m:
-            return "SAT"
-        e = pick()
-        cap = min(k, max_used + 1)
-        nc = neighbor_colors[e]
-        for col in range(1, cap + 1):
-            if nc[col]:
-                continue
-            assign(e, col)
-            verdict = solve(depth + 1, max(max_used, col))
-            if verdict != "UNSAT":
-                if verdict == "TIMEOUT":
-                    unassign(e, col)
-                return verdict
-            unassign(e, col)
-        return "UNSAT"
-
-    verdict = solve(0, 0)
+        if not nodes & 1023 and time.monotonic() - start > time_budget:
+            verdict = "TIMEOUT"
+            break
+        if len(stack) == m:
+            verdict = "SAT"
+            break
+        e = sat.index(max(sat))
+        cand = ((2 << min(k, max_used + 1)) - 2) & ~forb[e]
+        # No color left here: undo colored edges until one has another.
+        while not cand and stack:
+            e, cand, changed, bit, max_used = stack.pop()
+            for e2 in changed:
+                forb[e2] ^= bit
+                sat[e2] -= 1
+            sat[e] = forb[e].bit_count()
+        if not cand:
+            break
+        bit = cand & -cand
+        changed = [e2 for e2 in sees[e] if not forb[e2] & bit and sat[e2] >= 0]
+        for e2 in changed:
+            forb[e2] |= bit
+            sat[e2] += 1
+        sat[e] = -1
+        stack.append((e, cand ^ bit, changed, bit, max_used))
+        col = bit.bit_length() - 1
+        if col > max_used:
+            max_used = col
     elapsed = int((time.monotonic() - start) * 1000)
     if verdict == "SAT":
-        out = PartialColoring(k, [colors[e] for e in range(m)])
+        colors = [0] * m
+        for e, _, _, bit, _ in stack:
+            colors[e] = bit.bit_length() - 1
+        out = PartialColoring(k, colors)
         ok, _ = is_valid_strong_coloring(cg, out)
         assert ok, "solver emitted an invalid coloring"
         return SolveResult("SAT", out, nodes, elapsed)

@@ -4,10 +4,15 @@ A pattern is a small constraint graph: named slots carrying degree or
 class requirements, required adjacencies, and required non-adjacencies.
 A match is an injective placement of the slots onto host vertices that
 satisfies every constraint; `find_configurations` enumerates all matches,
-deduplicated up to the pattern's own symmetries.  A pattern's symmetry
-group is computed once per process and cached: it depends only on the
+deduplicated up to the pattern's own symmetries.  Two things are
+computed once per pattern and cached, since they depend only on the
 pattern's value (slots, edges, nonedges), never on the host graph, and a
-`Pattern` is an immutable, hashable tuple.  Patterns additionally
+`Pattern` is an immutable, hashable tuple: its symmetry group, and its
+search plan.  The plan orders the slots so that a slot with a pattern
+edge to an earlier slot is anchored there and draws its host candidates
+from the neighbors of the anchor's host; in every catalog pattern each
+slot after the first has an anchor.  Per host, the vertex constraints
+are tested once per (degree, class label) signature.  Patterns also
 carry a replayable recipe: delete one host vertex, color what remains
 exactly, optionally erase a few edge colors, then extend the coloring
 back over the missing edges.  `verify_reducibility` runs the recipe on a
@@ -148,69 +153,96 @@ def _pattern_automorphisms(pattern):
     return tuple(autos)
 
 
-def _find_assignments(g, pattern, labels):
-    """All injective constraint-satisfying slot vectors, unfiltered."""
+class _PlanStep(NamedTuple):
+    """One slot of a search plan and its checks against earlier slots."""
+
+    slot: int
+    anchor: object  # an earlier slot joined to this one by an edge, or None
+    adjacent: tuple  # the other earlier slots this one must be adjacent to
+    apart: tuple  # earlier slots this one must not be adjacent to
+
+
+@functools.cache
+def _search_plan(pattern):
+    """The slot order for matching, independent of the host; cached.
+
+    Starts at slot 0 (the catalog lists a best-connected slot first), then
+    repeatedly takes the unplaced slot with the most edges, then the most
+    nonedges, to placed slots, ties to the smallest index.  A slot with an
+    edge to a placed slot is anchored there: its host candidates are drawn
+    from the neighbors of the anchor's host.
+    """
     p = len(pattern.vertices)
     idx = {pv.name: i for i, pv in enumerate(pattern.vertices)}
-    required = [[None] * p for _ in range(p)]  # True edge, False nonedge
+    adj = [set() for _ in range(p)]
+    non = [set() for _ in range(p)]
     for u, v in pattern.edges:
-        required[idx[u]][idx[v]] = required[idx[v]][idx[u]] = True
+        adj[idx[u]].add(idx[v])
+        adj[idx[v]].add(idx[u])
     for u, v in pattern.nonedges:
-        required[idx[u]][idx[v]] = required[idx[v]][idx[u]] = False
+        non[idx[u]].add(idx[v])
+        non[idx[v]].add(idx[u])
+    order = []
+    plan = []
+    for _ in range(p):
+        slot = min(
+            (i for i in range(p) if i not in order),
+            key=lambda i: (
+                -len(adj[i].intersection(order)),
+                -len(non[i].intersection(order)),
+                i,
+            ),
+        )
+        tied = [j for j in order if j in adj[slot]]
+        plan.append(
+            _PlanStep(
+                slot,
+                tied[0] if tied else None,
+                tuple(tied[1:]),
+                tuple(j for j in order if j in non[slot]),
+            )
+        )
+        order.append(slot)
+    return tuple(plan)
+
+
+def _find_assignments(pattern, nbrs, groups):
+    """All injective constraint-satisfying slot vectors, unfiltered.
+
+    `nbrs[h]` is the neighbor set of host vertex h and `groups` maps each
+    (degree, label) signature to the host vertices that carry it.
+    """
     cand = []
     for pv in pattern.vertices:
-        cs = [
-            h
-            for h in range(g.n)
-            if _vertex_ok(
-                pv, g.degree(h), labels.get(h, ClassLabel.UNCLASSIFIED)
-            )
-        ]
-        cand.append(cs)
-    # Slot order: prefer slots tied to already-placed ones, then fewer
-    # candidates, so adjacency checks prune early.
-    order = []
-    placed = [False] * p
-    for _ in range(p):
-        best_key, best_i = None, None
-        for i in range(p):
-            if placed[i]:
-                continue
-            bound = sum(
-                1
-                for j in range(p)
-                if placed[j] and required[i][j] is not None
-            )
-            key = (-bound, len(cand[i]), i)
-            if best_key is None or key < best_key:
-                best_key, best_i = key, i
-        order.append(best_i)
-        placed[best_i] = True
+        pool = set()
+        for (deg, label), hosts in groups.items():
+            if _vertex_ok(pv, deg, label):
+                pool.update(hosts)
+        if not pool:
+            return []
+        cand.append(pool)
+    plan = _search_plan(pattern)
+    p = len(plan)
     assign = [None] * p
-    used = set()
     out = []
 
     def bt(d):
         if d == p:
             out.append(tuple(assign))
             return
-        i = order[d]
-        for h in cand[i]:
-            if h in used:
-                continue
-            ok = True
-            for j in range(p):
-                if assign[j] is None or required[i][j] is None:
-                    continue
-                if required[i][j] != g.has_edge(h, assign[j]):
-                    ok = False
-                    break
-            if ok:
-                assign[i] = h
-                used.add(h)
+        slot, anchor, adjacent, apart = plan[d]
+        pool = cand[slot]
+        if anchor is not None:
+            pool = pool & nbrs[assign[anchor]]
+        for j in adjacent:
+            pool = pool & nbrs[assign[j]]
+        for j in apart:
+            pool = pool - nbrs[assign[j]]
+        for h in pool:
+            if h not in assign:
+                assign[slot] = h
                 bt(d + 1)
-                assign[i] = None
-                used.discard(h)
+        assign[slot] = None
 
     bt(0)
     return out
@@ -223,11 +255,16 @@ def find_configurations(g, scheme, labels):
     as one match; the representative kept is the lexicographically least
     host-vertex vector.  Output is sorted by (pattern id, that vector).
     """
+    nbrs = [frozenset(g.neighbors(h)) for h in range(g.n)]
+    groups = {}
+    for h in range(g.n):
+        sig = (g.degree(h), labels.get(h, ClassLabel.UNCLASSIFIED))
+        groups.setdefault(sig, []).append(h)
     matches = []
     for pattern in catalog(scheme):
         autos = _pattern_automorphisms(pattern)
         canons = set()
-        for vec in _find_assignments(g, pattern, labels):
+        for vec in _find_assignments(pattern, nbrs, groups):
             canons.add(min(tuple(vec[s[i]] for i in range(len(vec))) for s in autos))
         for vec in sorted(canons):
             mapping = {

@@ -121,6 +121,17 @@ def test_color_decision_timeout(capsys, tmp_path):
     assert code == 0 and doc["sat"] is None and doc["coloring"] == []
 
 
+def test_color_decision_on_long_path(capsys, tmp_path):
+    # 1200 edges: a solver whose depth tracks the edge count would need
+    # more stack frames than the default recursion limit allows
+    n, edges = oracles.path(1201)
+    p = tmp_path / "p1201.edges"
+    lines = [f"n={n}"] + [f"{u} {v}" for u, v in edges]
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, doc = _json_out(capsys, ["color", str(p), "--k", "3"])
+    assert code == 0 and doc["sat"] is True and len(doc["coloring"]) == 1200
+
+
 def test_color_flag_conflict(capsys, c5_edges):
     code, _, err = _run(capsys, ["color", c5_edges, "--k", "3", "--exact"])
     assert code == 3 and "mutually exclusive" in err

@@ -254,6 +254,30 @@ def test_k_colorable_timeout_is_reported():
     assert res.nodes == 1024  # first budget poll
 
 
+def test_k_colorable_search_tree_is_pinned():
+    # node counts and the SAT coloring fix the branching order: edge of
+    # largest saturation (smallest id on ties), colors ascending, capped
+    # one above the highest color in use
+    cg = build_conflict_graph(_HARD_HOST)
+    res = k_colorable(cg, 12, time_budget=30)
+    assert (res.status, res.nodes) == ("UNSAT", 4842)
+    res = k_colorable(cg, 13, time_budget=30)
+    assert (res.status, res.nodes) == ("SAT", 24)
+    assert res.coloring.colors == [
+        1, 2, 3, 11, 7, 8, 2, 4, 5, 6, 7, 8, 4, 10, 9, 3, 11, 6, 12, 10,
+        13, 1, 5,
+    ]
+
+
+def test_k_colorable_has_no_depth_limit():
+    g = Graph(*oracles.path(1500))
+    cg = build_conflict_graph(g)
+    res = k_colorable(cg, 3)
+    assert res.status == "SAT" and res.coloring.is_total()
+    assert is_valid_strong_coloring(cg, res.coloring)[0]
+    assert res.nodes == g.m + 1  # a path never backtracks
+
+
 def test_chi_fixed_values():
     for case, expect in [
         (oracles.cycle(5), 5),

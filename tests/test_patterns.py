@@ -20,7 +20,13 @@ from strongedge import (
     match_satisfies,
     verify_reducibility,
 )
-from strongedge.patterns import _pattern_automorphisms
+from strongedge import patterns as patterns_module
+from strongedge.patterns import (
+    Pattern,
+    PatternVertex,
+    _pattern_automorphisms,
+    _search_plan,
+)
 
 THETA7_IDS = [
     "deg-outside-234",
@@ -74,11 +80,17 @@ def test_catalog_shape():
 
 
 def _satisfies_local(g, pattern, labels, mapping):
-    """Fresh constraint checker, independent of the library code paths."""
-    hosts = [mapping[pv.name] for pv in pattern.vertices]
+    """Fresh constraint checker, independent of the library code paths.
+
+    Slots missing from the mapping are unplaced: every constraint that
+    involves one is skipped, so a partial placement can be tested.
+    """
+    hosts = list(mapping.values())
     if len(set(hosts)) != len(hosts):
         return False
     for pv in pattern.vertices:
+        if pv.name not in mapping:
+            continue
         h = mapping[pv.name]
         d = g.degree(h)
         lab = labels.get(h, ClassLabel.UNCLASSIFIED)
@@ -93,10 +105,10 @@ def _satisfies_local(g, pattern, labels, mapping):
         if pv.classes_not_in is not None and lab in pv.classes_not_in:
             return False
     for u, v in pattern.edges:
-        if not g.has_edge(mapping[u], mapping[v]):
+        if u in mapping and v in mapping and not g.has_edge(mapping[u], mapping[v]):
             return False
     for u, v in pattern.nonedges:
-        if g.has_edge(mapping[u], mapping[v]):
+        if u in mapping and v in mapping and g.has_edge(mapping[u], mapping[v]):
             return False
     return True
 
@@ -118,25 +130,37 @@ def _brute_automorphisms(pattern):
     ]
 
 
-def _brute_matches(g, scheme):
+def _placements(g, pattern, labels, prefix=()):
+    """Every injective placement that satisfies all constraints.  Slots
+    are filled in declaration order, and a prefix is extended only while
+    it satisfies the constraints among its own slots, which every full
+    match satisfies too."""
+    names = [pv.name for pv in pattern.vertices]
+    if len(prefix) == len(names):
+        yield prefix
+        return
+    for h in range(g.n):
+        combo = prefix + (h,)
+        if _satisfies_local(g, pattern, labels, dict(zip(names, combo))):
+            yield from _placements(g, pattern, labels, combo)
+
+
+def _brute_matches(g, scheme, patterns=None):
     """All catalog matches by exhaustive injective placement, canonical
     under slot permutations that preserve the pattern's structure."""
     labels = classify(g, scheme).labels
     out = set()
-    for pattern in catalog(scheme):
+    for pattern in catalog(scheme) if patterns is None else patterns:
         p = len(pattern.vertices)
-        if g.n < p:
-            continue
-        names = [pv.name for pv in pattern.vertices]
         autos = _brute_automorphisms(pattern)
-        for combo in itertools.permutations(range(g.n), p):
-            mapping = dict(zip(names, combo))
-            if _satisfies_local(g, pattern, labels, mapping):
-                canon = min(
-                    tuple(combo[perm[i]] for i in range(p)) for perm in autos
-                )
-                out.add((pattern.id, canon))
+        for combo in _placements(g, pattern, labels):
+            canon = min(tuple(combo[perm[i]] for i in range(p)) for perm in autos)
+            out.add((pattern.id, canon))
     return out
+
+
+def _match_keys(found):
+    return {(m.pattern_id, tuple(h for _, h in m.assignment)) for m in found}
 
 
 @pytest.mark.parametrize("scheme", [Scheme.THETA7, Scheme.THETA8])
@@ -150,12 +174,86 @@ def test_matcher_against_exhaustive_placement(rng, scheme):
     ]
     for _ in range(12):
         cases.append(random_graph(rng, rng.randint(3, 7), rng.choice([0.3, 0.5, 0.8])))
+    # hosts past n = 7, where placements far outnumber matches
+    cases.append(Graph(*oracles.petersen()))
+    cases.append(_union(oracles.complete(4), oracles.cycle(6)))
+    for _ in range(4):
+        cases.append(random_graph(rng, rng.randint(9, 11), rng.choice([0.25, 0.4])))
     for g in cases:
         labels = classify(g, scheme).labels
         found = find_configurations(g, scheme, labels)
-        got = {(m.pattern_id, tuple(h for _, h in m.assignment)) for m in found}
+        got = _match_keys(found)
         assert got == _brute_matches(g, scheme)
         assert len(got) == len(found)  # no duplicates survive
+
+
+def test_search_plans_follow_pattern_edges(rng):
+    _search_plan.cache_clear()
+    patterns = catalog(Scheme.THETA7) + catalog(Scheme.THETA8)
+    for pattern in patterns:
+        plan = _search_plan(pattern)
+        names = [pv.name for pv in pattern.vertices]
+        assert sorted(step.slot for step in plan) == list(range(len(names)))
+        assert plan[0].anchor is None
+        edges, nonedges = set(), set()
+        for d, step in enumerate(plan):
+            earlier = {s.slot for s in plan[:d]}
+            if d:
+                assert step.anchor in earlier, pattern.id
+            tied = (step.anchor,) + step.adjacent if d else ()
+            assert set(tied) | set(step.apart) <= earlier
+            edges |= {frozenset((names[step.slot], names[j])) for j in tied}
+            nonedges |= {frozenset((names[step.slot], names[j])) for j in step.apart}
+        # every pattern edge and nonedge is checked exactly where its
+        # later slot is placed
+        assert edges == {frozenset(e) for e in pattern.edges}
+        assert nonedges == {frozenset(e) for e in pattern.nonedges}
+    hosts = [Graph(*oracles.petersen()), Graph(*oracles.complete(4))]
+    hosts += [random_graph(rng, 8, 0.4) for _ in range(3)]
+    for g in hosts:
+        for scheme in (Scheme.THETA7, Scheme.THETA8):
+            find_configurations(g, scheme, classify(g, scheme).labels)
+    info = _search_plan.cache_info()
+    assert info.misses == len(patterns)
+    assert info.hits >= len(hosts)
+
+
+# the second slot has only a nonedge to the first, so its step has no
+# anchor and draws from all of its candidates; the third is anchored
+_APART = Pattern(
+    "apart",
+    Scheme.THETA7,
+    "a 2-vertex and a nonadjacent 3-vertex with a neighbor of its own",
+    (
+        PatternVertex("u", degree=2),
+        PatternVertex("v", degree=3),
+        PatternVertex("w"),
+    ),
+    (("v", "w"),),
+    (("u", "v"),),
+    None,
+)
+
+
+def test_matcher_without_anchor(rng, monkeypatch):
+    plan = _search_plan(_APART)
+    assert [step.slot for step in plan] == [0, 1, 2]
+    assert plan[1] == (1, None, (), (0,)) and plan[2].anchor == 1
+    monkeypatch.setattr(patterns_module, "catalog", lambda scheme: [_APART])
+    cases = [
+        Graph(*oracles.petersen()),
+        Graph(*oracles.star(3)),
+        _union(oracles.cycle(5), oracles.star(3)),
+    ]
+    cases += [random_graph(rng, rng.randint(4, 9), 0.35) for _ in range(8)]
+    total = 0
+    for g in cases:
+        labels = classify(g, Scheme.THETA7).labels
+        found = find_configurations(g, Scheme.THETA7, labels)
+        assert _match_keys(found) == _brute_matches(g, Scheme.THETA7, [_APART])
+        assert len(found) == len(_match_keys(found))
+        total += len(found)
+    assert total > 0
 
 
 def test_pattern_symmetry_groups_computed_once(rng):
