@@ -14,7 +14,11 @@ A strong edge-coloring is a proper vertex coloring of the conflict graph
 * an exact decision procedure: branch and bound in DSATUR order (Brelaz
   1979), run as one loop over an explicit stack with each edge's
   forbidden colors kept as an int bitmask, so it has no recursion-depth
-  limit,
+  limit; it prunes with Hall's counting test (the counting half of
+  Regin's alldifferent filtering, AAAI 1994) on the cliques formed by
+  the edges at either end of a host edge, whose uncolored members need
+  distinct colors, so a branch dies once the union of their free colors
+  is smaller than their count,
 * an exact minimum-palette computation built on it.
 
 Everything is deterministic: ties break by smallest edge id, colors are
@@ -168,30 +172,46 @@ def hall_sdr(fam):
     """A system of distinct representatives, or a certified violator.
 
     Bipartite maximum matching (sets on the left, elements on the right,
-    augmenting paths in set order, elements tried ascending).  When some
-    set stays unmatched, the indices reachable from it by alternating
-    paths form a family whose union is smaller than its size; that index
-    set and the union size are returned as the violation certificate.
+    augmenting paths in set order, elements tried ascending).  Each path
+    is a depth-first search over an explicit stack, so a path may be as
+    long as the family.  When some set stays unmatched, the indices
+    reachable from it by alternating paths form a family whose union is
+    smaller than its size; that index set and the union size are returned
+    as the violation certificate.
     """
     sets = [sorted(s) for s in fam.sets]
     match_of_elem = {}
     match_of_set = [None] * len(sets)
 
-    def augment(i, seen):
-        for x in sets[i]:
-            if x in seen:
-                continue
-            seen.add(x)
-            j = match_of_elem.get(x)
-            if j is None or augment(j, seen):
-                match_of_elem[x] = i
-                match_of_set[i] = x
-                return True
+    def augment(root):
+        seen = set()
+        # One (set, its untried elements) frame per set on the path; path
+        # holds the element each frame but the last descended through.
+        stack = [(root, iter(sets[root]))]
+        path = []
+        while stack:
+            for x in stack[-1][1]:
+                if x in seen:
+                    continue
+                seen.add(x)
+                path.append(x)
+                j = match_of_elem.get(x)
+                if j is None:
+                    for (i, _), y in zip(stack, path):
+                        match_of_elem[y] = i
+                        match_of_set[i] = y
+                    return True
+                stack.append((j, iter(sets[j])))
+                break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
         return False
 
     unmatched = None
     for i in range(len(sets)):
-        if not augment(i, set()):
+        if not augment(i):
             unmatched = i
             break
     if unmatched is None:
@@ -327,6 +347,30 @@ class SolveResult(NamedTuple):
     time_ms: int
 
 
+def _hall_cliques(g):
+    """Per host edge uv, the edges incident to u or v: (bitmask, ascending).
+
+    Any two of them see each other: they share u or v, or one is at u and
+    the other at v, joined by uv.  A clique contained in another is
+    dropped (of equal ones the first edge's is kept).  Only the clique of
+    a member edge can contain a clique, since it must contain uv.
+    """
+    at = [0] * g.n  # bitmask of the edges at each vertex
+    for e, (u, v) in enumerate(g.edges):
+        at[u] |= 1 << e
+        at[v] |= 1 << e
+    near = [at[u] | at[v] for u, v in g.edges]
+    out = []
+    for e, (u, v) in enumerate(g.edges):
+        q = near[e]
+        members = sorted({*g.incident_edges(u), *g.incident_edges(v)})
+        if not any(
+            not q & ~near[f] and (q != near[f] or f < e) for f in members
+        ):
+            out.append((q, tuple(members)))
+    return out
+
+
 def k_colorable(cg, k, time_budget=10.0):
     """Decide whether the conflict graph admits a proper k-coloring.
 
@@ -338,6 +382,19 @@ def k_colorable(cg, k, time_budget=10.0):
     explicit stack of colored edges, so it has no recursion-depth limit
     however many edges there are.  Each edge's forbidden colors are an int
     bitmask.  The wall-clock budget is polled every 1024 nodes.
+
+    Hall's counting test prunes the tree.  The edges at either end of a
+    host edge form a clique of the conflict graph (see
+    :func:`_hall_cliques`), so its uncolored members need distinct colors
+    from their free lists; when the union of those lists over the whole
+    palette 1..k is smaller than their count, the node is treated like one
+    with no candidate color.  The root tests every clique; each assignment
+    then tests the cliques holding the colored edge or a neighbor that
+    gained its color, once every uncolored member forbids that color
+    (otherwise their union is unchanged).  Pruning removes only subtrees
+    without a solution and leaves the branching order alone, so verdicts
+    and SAT colorings are those of the plain search, which never takes
+    fewer nodes.
     """
     if k < 1:
         raise ValueError(f"palette size must be >= 1, got {k}")
@@ -346,6 +403,14 @@ def k_colorable(cg, k, time_budget=10.0):
         return SolveResult("SAT", PartialColoring.empty(k, 0), 0, 0)
     start = time.monotonic()
     sees = cg.sees
+    full = (2 << k) - 2  # bits 1..k
+    cliques = _hall_cliques(cg.base)
+    # watch[e]: the cliques that meet e or an edge e sees, those that
+    # coloring e can tighten.
+    watch = []
+    for e in range(m):
+        ball = sum(1 << f for f in sees[e]) | 1 << e
+        watch.append([c for c in cliques if c[0] & ball])
     forb = [0] * m  # bit c set: a colored neighbor has color c
     # Popcount of forb while uncolored, -1 once colored, so that
     # sat.index(max(sat)) is the branching edge.
@@ -357,6 +422,9 @@ def k_colorable(cg, k, time_budget=10.0):
     max_used = 0
     nodes = 0
     verdict = "UNSAT"
+    # The root's lists are the whole palette: a clique dies when it is
+    # larger than k.  After that, dead is the test on the node just made.
+    dead = any(len(q) > k for _, q in cliques)
     while True:
         nodes += 1
         if not nodes & 1023 and time.monotonic() - start > time_budget:
@@ -365,8 +433,11 @@ def k_colorable(cg, k, time_budget=10.0):
         if len(stack) == m:
             verdict = "SAT"
             break
-        e = sat.index(max(sat))
-        cand = ((2 << min(k, max_used + 1)) - 2) & ~forb[e]
+        if dead:
+            cand = 0
+        else:
+            e = sat.index(max(sat))
+            cand = ((2 << min(k, max_used + 1)) - 2) & ~forb[e]
         # No color left here: undo colored edges until one has another.
         while not cand and stack:
             e, cand, changed, bit, max_used = stack.pop()
@@ -378,14 +449,36 @@ def k_colorable(cg, k, time_budget=10.0):
             break
         bit = cand & -cand
         changed = [e2 for e2 in sees[e] if not forb[e2] & bit and sat[e2] >= 0]
+        cm = 1 << e  # e and changed, as a bitmask
         for e2 in changed:
             forb[e2] |= bit
             sat[e2] += 1
+            cm |= 1 << e2
         sat[e] = -1
         stack.append((e, cand ^ bit, changed, bit, max_used))
         col = bit.bit_length() - 1
         if col > max_used:
             max_used = col
+        # Hall's test on the cliques holding e or an edge in changed.  A
+        # clique keeps its union while some uncolored member has bit
+        # free, so the loop over members stops at the first such one.
+        dead = False
+        for qm, q in watch[e]:
+            if not qm & cm:
+                continue
+            both = -1  # colors every uncolored member forbids
+            count = 0
+            for f in q:
+                if sat[f] >= 0:
+                    x = forb[f]
+                    if not x & bit:
+                        break
+                    both &= x
+                    count += 1
+            else:
+                if (full & ~both).bit_count() < count:
+                    dead = True
+                    break
     elapsed = int((time.monotonic() - start) * 1000)
     if verdict == "SAT":
         colors = [0] * m

@@ -1,9 +1,12 @@
 """Coloring validity, lists, SDR, erase-and-extend, and the exact solver."""
 
+import random
+
 import pytest
 
 import oracles
 from conftest import random_graph
+from strongedge import coloring
 from strongedge import (
     Graph,
     PartialColoring,
@@ -18,9 +21,19 @@ from strongedge import (
     k_colorable,
 )
 
-# a random host whose 12-colorability proof needs a few thousand nodes;
-# with a zero budget the solver trips its poll deterministically
+# a random host whose 12-colorability refutation needs 6199 nodes; with a
+# zero budget the solver trips its poll deterministically
 _HARD_HOST = Graph(
+    12,
+    [
+        (0, 1), (0, 7), (0, 9), (0, 11), (1, 2), (1, 5), (1, 11), (2, 10),
+        (3, 4), (3, 6), (3, 7), (3, 9), (3, 10), (4, 7), (4, 9), (4, 10),
+        (6, 7), (6, 9), (7, 10), (8, 11),
+    ],
+)
+
+# a random host (chi'_s = 13) whose search tree is pinned below
+_TREE_HOST = Graph(
     12,
     [
         (0, 3), (0, 5), (0, 11), (1, 2), (1, 8), (1, 9), (2, 7), (2, 11),
@@ -161,6 +174,22 @@ def test_hall_sdr_random_families(rng):
         _sdr_agrees_with_oracle(k, sets)
 
 
+def test_hall_sdr_long_augmenting_path():
+    # the last set's augmenting path runs through all 1500 chain sets,
+    # deeper than the default recursion limit
+    chain = [{i, i + 1} for i in range(1, 1501)]
+    res = hall_sdr(SetFamily.of(1501, chain + [{1}]))
+    assert res.ok
+    assert res.reps == tuple(range(2, 1502)) + (1,)
+    # one set too many for the 1501 elements: the failing search is as
+    # deep, and the certificate still holds
+    sets = chain + [{1}, {1501}]
+    res = hall_sdr(SetFamily.of(1501, sets))
+    assert not res.ok and res.reps is None
+    union = set().union(*(sets[i] for i in res.violator))
+    assert len(union) == res.union_size < len(res.violator)
+
+
 def test_set_family_rejects_foreign_elements():
     with pytest.raises(ValueError):
         SetFamily.of(3, [{1, 4}])
@@ -239,6 +268,86 @@ def test_k_colorable_matches_oracle(rng):
                 assert max(res.coloring.colors) <= k
 
 
+def _random_subcubic(rng, n):
+    """A random connected graph on n vertices of maximum degree 3."""
+    deg = [0] * n
+    edges = set()
+    for v in range(1, n):
+        u = rng.choice([w for w in range(v) if deg[w] < 3])
+        edges.add((u, v))
+        deg[u] += 1
+        deg[v] += 1
+    for _ in range(4 * n):
+        a, b = sorted(rng.sample(range(n), 2))
+        if deg[a] < 3 and deg[b] < 3 and (a, b) not in edges:
+            edges.add((a, b))
+            deg[a] += 1
+            deg[b] += 1
+    return Graph(n, sorted(edges))
+
+
+def test_hall_cliques_are_conflict_cliques(rng):
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(2, 8), 0.5)
+        cg = build_conflict_graph(g)
+        found = coloring._hall_cliques(g)
+        assert all(mask == sum(1 << e for e in c) for mask, c in found)
+        cliques = [c for _, c in found]
+        by_edge = [
+            set(g.incident_edges(u)) | set(g.incident_edges(v)) for u, v in g.edges
+        ]
+        for (u, v), q in zip(g.edges, by_edge):
+            assert len(q) == g.degree(u) + g.degree(v) - 1
+            for e in q:
+                assert q - {e} <= set(cg.sees[e])
+            # every host edge's clique survives, or one that contains it
+            assert any(q <= set(c) for c in cliques)
+        for c in cliques:
+            assert list(c) == sorted(c) and set(c) in by_edge
+        # none contained in another, and no two alike
+        assert len(set(cliques)) == len(cliques)
+        assert not any(set(a) < set(b) for a in cliques for b in cliques)
+
+
+def test_k_colorable_matches_oracle_on_subcubic_hosts():
+    # at k = chi'_s - 1 the refutation is where Hall's test fires
+    rng = random.Random(6)
+    for _ in range(12):
+        g = _random_subcubic(rng, rng.randint(6, 10))
+        cg = build_conflict_graph(g)
+        chi = chi_s_exact(cg).value
+        for k in (chi - 1, chi):
+            res = k_colorable(cg, k)
+            assert (res.status == "SAT") == oracles.strong_k_colorable(
+                g.n, list(g.edges), k
+            )
+            assert (res.status == "SAT") == (k == chi)
+
+
+def test_hall_prune_keeps_the_plain_search(rng, monkeypatch):
+    # with no cliques the solver is plain DSATUR: the prune must leave
+    # every verdict and SAT coloring alone and never add a node
+    cases = []
+    for _ in range(25):
+        g = random_graph(rng, rng.randint(3, 8), 0.4)
+        if g.m:
+            cases.append(g)
+    cases += [_random_subcubic(rng, n) for n in (12, 14, 16, 18)]
+    calls = []
+    for g in cases:
+        cg = build_conflict_graph(g)
+        chi = chi_s_exact(cg).value
+        calls += [(cg, k) for k in range(max(1, chi - 2), chi + 2)]
+    pruned = [k_colorable(cg, k) for cg, k in calls]
+    monkeypatch.setattr(coloring, "_hall_cliques", lambda g: [])
+    plain = [k_colorable(cg, k) for cg, k in calls]
+    for a, b in zip(pruned, plain):
+        assert a.status == b.status
+        assert (a.coloring and a.coloring.colors) == (b.coloring and b.coloring.colors)
+        assert a.nodes <= b.nodes
+    assert sum(a.nodes for a in pruned) < sum(b.nodes for b in plain)
+
+
 def test_k_colorable_edge_cases():
     assert k_colorable(_cg((3, [])), 1).status == "SAT"
     with pytest.raises(ValueError):
@@ -257,10 +366,11 @@ def test_k_colorable_timeout_is_reported():
 def test_k_colorable_search_tree_is_pinned():
     # node counts and the SAT coloring fix the branching order: edge of
     # largest saturation (smallest id on ties), colors ascending, capped
-    # one above the highest color in use
-    cg = build_conflict_graph(_HARD_HOST)
+    # one above the highest color in use; Hall's test prunes the
+    # refutation and leaves the backtrack-free SAT search alone
+    cg = build_conflict_graph(_TREE_HOST)
     res = k_colorable(cg, 12, time_budget=30)
-    assert (res.status, res.nodes) == ("UNSAT", 4842)
+    assert (res.status, res.nodes) == ("UNSAT", 134)
     res = k_colorable(cg, 13, time_budget=30)
     assert (res.status, res.nodes) == ("SAT", 24)
     assert res.coloring.colors == [

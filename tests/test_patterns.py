@@ -54,13 +54,14 @@ THETA8_IDS = [
     "deg5-two-bweak",
 ]
 
-# companion graph whose 13-colorability refutation needs a few thousand
-# branch nodes, so a zero budget trips the solver's poll
+# companion graph whose 13-colorability refutation, replayed beside the
+# triangle's remaining edge, needs 4895 branch nodes, so a zero budget
+# trips the solver's poll
 _SLOW_EDGES = [
-    (0, 5), (0, 9), (0, 13), (1, 2), (1, 5), (1, 7), (2, 7), (2, 8),
-    (2, 13), (3, 7), (3, 9), (3, 10), (3, 11), (3, 12), (3, 13), (4, 7),
-    (4, 9), (4, 10), (4, 13), (5, 6), (5, 8), (5, 12), (6, 11), (6, 13),
-    (7, 8), (7, 9), (7, 10), (8, 10), (8, 11), (9, 13), (10, 11), (11, 12),
+    (0, 2), (0, 6), (0, 7), (0, 10), (1, 3), (1, 8), (1, 9), (1, 10),
+    (1, 13), (2, 5), (2, 6), (2, 12), (2, 13), (3, 5), (3, 8), (3, 9),
+    (3, 10), (4, 6), (4, 7), (4, 10), (5, 8), (5, 9), (5, 12), (6, 7),
+    (7, 8), (7, 12), (8, 11), (8, 13), (9, 10), (9, 13), (12, 13),
 ]
 
 
