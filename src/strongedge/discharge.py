@@ -217,10 +217,13 @@ def audit_negative(ledger, g, labels, scheme, matches=None):
     """Vertices with negative final charge, each tied to nearby catalog hits.
 
     For every vertex whose final charge is below zero, report the ids of
-    catalog patterns matched somewhere inside its closed neighborhood.
-    A nonempty pattern list names the local structures responsible; an
-    empty list means the negativity has no cataloged explanation.  Pass
-    `matches` to reuse an existing find_configurations result.
+    catalog patterns matched somewhere inside its closed neighborhood,
+    that is, patterns with a match that places some slot on the vertex or
+    on one of its neighbors.  A nonempty pattern list names the local
+    structures responsible; an empty list means the negativity has no
+    cataloged explanation.  Pass `matches` to reuse an existing
+    find_configurations result.  The matches are indexed by host vertex
+    once, so each negative vertex reads only its closed neighborhood.
     """
     negatives = sorted(
         v for v, charge in ledger.final.items() if charge < 0
@@ -229,17 +232,16 @@ def audit_negative(ledger, g, labels, scheme, matches=None):
         return []
     if matches is None:
         matches = find_configurations(g, scheme, labels)
+    hits_at = {}
+    for m in matches:
+        for _, h in m.assignment:
+            hits_at.setdefault(h, set()).add(m.pattern_id)
     records = []
     for v in negatives:
-        closed = set(g.neighbors(v)) | {v}
-        hits = sorted(
-            {
-                m.pattern_id
-                for m in matches
-                if any(h in closed for _, h in m.assignment)
-            }
-        )
-        records.append(AuditRecord(v, ledger.final[v], tuple(hits)))
+        hits = set(hits_at.get(v, ()))
+        for u in g.neighbors(v):
+            hits.update(hits_at.get(u, ()))
+        records.append(AuditRecord(v, ledger.final[v], tuple(sorted(hits))))
     return records
 
 

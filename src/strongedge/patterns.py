@@ -11,13 +11,19 @@ pattern's value (slots, edges, nonedges), never on the host graph, and a
 search plan.  The plan orders the slots so that a slot with a pattern
 edge to an earlier slot is anchored there and draws its host candidates
 from the neighbors of the anchor's host; in every catalog pattern each
-slot after the first has an anchor.  Per host, the vertex constraints
-are tested once per (degree, class label) signature.  Patterns also
-carry a replayable recipe: delete one host vertex, color what remains
-exactly, optionally erase a few edge colors, then extend the coloring
-back over the missing edges.  `verify_reducibility` runs the recipe on a
-concrete match and compares the observed per-edge conflict counts with
-the ceilings asserted in the catalog.
+slot after the first has an anchor.  The plan also carries the
+pattern's symmetry-breaking conditions, host-order constraints
+host(i) < host(j) read off a stabilizer chain of the symmetry group
+(Grochow and Kellis, RECOMB 2007); each bounds the candidates of the
+step that places the later of its two slots, so the search emits only
+the lexicographically least placement of each symmetry orbit and never
+meets the others.  Per host, the vertex constraints are tested once per
+(degree, class label) signature.  Patterns also carry a replayable
+recipe: delete one host vertex, color what remains exactly, optionally
+erase a few edge colors, then extend the coloring back over the missing
+edges.  `verify_reducibility` runs the recipe on a concrete match and
+compares the observed per-edge conflict counts with the ceilings
+asserted in the catalog.
 """
 
 from __future__ import annotations
@@ -153,6 +159,25 @@ def _pattern_automorphisms(pattern):
     return tuple(autos)
 
 
+def _symmetry_conditions(pattern):
+    """Slot pairs (i, j) whose host order host(i) < host(j) breaks symmetry.
+
+    Grochow and Kellis's conditions (RECOMB 2007): walk the pattern's
+    symmetry group as a stabilizer chain in slot-index order; at level i,
+    G_i fixes slots 0..i-1, and every other slot j in the orbit of i under
+    G_i gives the pair (i, j).  Of the placements that differ by a pattern
+    symmetry, exactly one satisfies every pair: the lexicographically
+    least one.
+    """
+    group = _pattern_automorphisms(pattern)
+    conditions = []
+    for i in range(len(pattern.vertices)):
+        orbit = sorted({s[i] for s in group} - {i})
+        conditions += [(i, j) for j in orbit]
+        group = [s for s in group if s[i] == i]
+    return tuple(conditions)
+
+
 class _PlanStep(NamedTuple):
     """One slot of a search plan and its checks against earlier slots."""
 
@@ -160,6 +185,8 @@ class _PlanStep(NamedTuple):
     anchor: object  # an earlier slot joined to this one by an edge, or None
     adjacent: tuple  # the other earlier slots this one must be adjacent to
     apart: tuple  # earlier slots this one must not be adjacent to
+    above: tuple  # earlier slots whose hosts this one's must exceed
+    below: tuple  # earlier slots whose hosts this one's must stay under
 
 
 @functools.cache
@@ -170,7 +197,8 @@ def _search_plan(pattern):
     repeatedly takes the unplaced slot with the most edges, then the most
     nonedges, to placed slots, ties to the smallest index.  A slot with an
     edge to a placed slot is anchored there: its host candidates are drawn
-    from the neighbors of the anchor's host.
+    from the neighbors of the anchor's host.  Each symmetry condition is
+    checked at the step that places the later of its two slots.
     """
     p = len(pattern.vertices)
     idx = {pv.name: i for i, pv in enumerate(pattern.vertices)}
@@ -182,6 +210,9 @@ def _search_plan(pattern):
     for u, v in pattern.nonedges:
         non[idx[u]].add(idx[v])
         non[idx[v]].add(idx[u])
+    less = [set() for _ in range(p)]  # less[j]: slots whose host is below j's
+    for i, j in _symmetry_conditions(pattern):
+        less[j].add(i)
     order = []
     plan = []
     for _ in range(p):
@@ -200,6 +231,8 @@ def _search_plan(pattern):
                 tied[0] if tied else None,
                 tuple(tied[1:]),
                 tuple(j for j in order if j in non[slot]),
+                tuple(j for j in order if j in less[slot]),
+                tuple(j for j in order if slot in less[j]),
             )
         )
         order.append(slot)
@@ -207,11 +240,14 @@ def _search_plan(pattern):
 
 
 def _find_assignments(pattern, nbrs, groups):
-    """All injective constraint-satisfying slot vectors, unfiltered.
+    """The constraint-satisfying slot vectors, one per pattern symmetry orbit.
 
     `nbrs[h]` is the neighbor set of host vertex h and `groups` maps each
-    (degree, label) signature to the host vertices that carry it.
+    (degree, label) signature to the host vertices that carry it.  Each
+    vector kept is the lexicographically least of its orbit: the search
+    bounds a step's candidates by the symmetry conditions its slot closes.
     """
+    plan = _search_plan(pattern)
     cand = []
     for pv in pattern.vertices:
         pool = set()
@@ -221,7 +257,6 @@ def _find_assignments(pattern, nbrs, groups):
         if not pool:
             return []
         cand.append(pool)
-    plan = _search_plan(pattern)
     p = len(plan)
     assign = [None] * p
     out = []
@@ -230,7 +265,7 @@ def _find_assignments(pattern, nbrs, groups):
         if d == p:
             out.append(tuple(assign))
             return
-        slot, anchor, adjacent, apart = plan[d]
+        slot, anchor, adjacent, apart, above, below = plan[d]
         pool = cand[slot]
         if anchor is not None:
             pool = pool & nbrs[assign[anchor]]
@@ -238,6 +273,12 @@ def _find_assignments(pattern, nbrs, groups):
             pool = pool & nbrs[assign[j]]
         for j in apart:
             pool = pool - nbrs[assign[j]]
+        if above:
+            lo = max([assign[j] for j in above])
+            pool = [h for h in pool if h > lo]
+        if below:
+            hi = min([assign[j] for j in below])
+            pool = [h for h in pool if h < hi]
         for h in pool:
             if h not in assign:
                 assign[slot] = h
@@ -249,11 +290,12 @@ def _find_assignments(pattern, nbrs, groups):
 
 
 def find_configurations(g, scheme, labels):
-    """All catalog matches in g, deduplicated and canonically sorted.
+    """All catalog matches in g, one per pattern symmetry orbit, sorted.
 
     Two placements that differ by a symmetry of the pattern itself count
     as one match; the representative kept is the lexicographically least
-    host-vertex vector.  Output is sorted by (pattern id, that vector).
+    host-vertex vector, the only one the search emits.  Output is sorted
+    by (pattern id, that vector).
     """
     nbrs = [frozenset(g.neighbors(h)) for h in range(g.n)]
     groups = {}
@@ -261,33 +303,19 @@ def find_configurations(g, scheme, labels):
         sig = (g.degree(h), labels.get(h, ClassLabel.UNCLASSIFIED))
         groups.setdefault(sig, []).append(h)
     matches = []
-    for pattern in catalog(scheme):
-        autos = _pattern_automorphisms(pattern)
-        canons = set()
-        for vec in _find_assignments(pattern, nbrs, groups):
-            canons.add(min(tuple(vec[s[i]] for i in range(len(vec))) for s in autos))
-        for vec in sorted(canons):
-            mapping = {
-                pattern.vertices[i].name: vec[i] for i in range(len(vec))
-            }
+    for pattern in sorted(catalog(scheme), key=lambda pat: pat.id):
+        names = [pv.name for pv in pattern.vertices]
+        for vec in sorted(_find_assignments(pattern, nbrs, groups)):
+            mapping = dict(zip(names, vec))
             assert match_satisfies(g, pattern, labels, mapping)
             witnesses = tuple(
-                (min(mapping[u], mapping[v]), max(mapping[u], mapping[v]))
+                (mapping[u], mapping[v]) if mapping[u] < mapping[v]
+                else (mapping[v], mapping[u])
                 for u, v in pattern.edges
             )
             matches.append(
-                ConfigurationMatch(
-                    pattern.id,
-                    tuple(
-                        (pattern.vertices[i].name, vec[i])
-                        for i in range(len(vec))
-                    ),
-                    witnesses,
-                )
+                ConfigurationMatch(pattern.id, tuple(zip(names, vec)), witnesses)
             )
-    matches.sort(
-        key=lambda m: (m.pattern_id, tuple(h for _, h in m.assignment))
-    )
     return matches
 
 

@@ -231,6 +231,45 @@ def test_audit_accepts_precomputed_matches():
     assert direct == reused
 
 
+def _audit_oracle(ledger, g, matches):
+    """audit_negative by its definition: for each negative vertex v, the
+    ids of patterns with a match that places a slot inside N[v]."""
+    out = []
+    for v in sorted(ledger.final):
+        if ledger.final[v] >= 0:
+            continue
+        closed = {v, *g.neighbors(v)}
+        ids = {
+            m.pattern_id
+            for m in matches
+            if any(h in closed for _, h in m.assignment)
+        }
+        out.append((v, ledger.final[v], tuple(sorted(ids))))
+    return out
+
+
+@pytest.mark.parametrize("scheme", [Scheme.THETA7, Scheme.THETA8])
+def test_audit_matches_definition_on_random_hosts(rng, scheme):
+    records = explained = 0
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(2, 12), rng.choice([0.2, 0.35, 0.5]))
+        labels = classify(g, scheme).labels
+        ledger = apply_rules(
+            g, labels, builtin_ruleset(scheme),
+            charges=initial_charges(g, scheme_target(scheme)),
+            scheme=scheme,
+        )
+        matches = find_configurations(g, scheme, labels)
+        expected = _audit_oracle(ledger, g, matches)
+        direct = audit_negative(ledger, g, labels, scheme)
+        reused = audit_negative(ledger, g, labels, scheme, matches=matches)
+        assert [tuple(r) for r in direct] == expected
+        assert reused == direct
+        records += len(expected)
+        explained += sum(1 for r in expected if r[2])
+    assert explained > 0 and records > explained
+
+
 def _rule_json(rules):
     out = []
     for r in rules:

@@ -26,6 +26,7 @@ from strongedge.patterns import (
     PatternVertex,
     _pattern_automorphisms,
     _search_plan,
+    _symmetry_conditions,
 )
 
 THETA7_IDS = [
@@ -239,7 +240,11 @@ _APART = Pattern(
 def test_matcher_without_anchor(rng, monkeypatch):
     plan = _search_plan(_APART)
     assert [step.slot for step in plan] == [0, 1, 2]
-    assert plan[1] == (1, None, (), (0,)) and plan[2].anchor == 1
+    step = plan[1]
+    assert (step.slot, step.anchor, step.adjacent, step.apart) == (1, None, (), (0,))
+    assert plan[2].anchor == 1
+    # no symmetry but the identity, so no step is bounded
+    assert all(s.above == () and s.below == () for s in plan)
     monkeypatch.setattr(patterns_module, "catalog", lambda scheme: [_APART])
     cases = [
         Graph(*oracles.petersen()),
@@ -259,6 +264,7 @@ def test_matcher_without_anchor(rng, monkeypatch):
 
 def test_pattern_symmetry_groups_computed_once(rng):
     _pattern_automorphisms.cache_clear()
+    _search_plan.cache_clear()
     hosts = [Graph(*oracles.petersen()), Graph(*oracles.cycle(5))]
     hosts += [random_graph(rng, 7, 0.5) for _ in range(3)]
     for g in hosts:
@@ -266,14 +272,105 @@ def test_pattern_symmetry_groups_computed_once(rng):
             find_configurations(g, scheme, classify(g, scheme).labels)
     patterns = catalog(Scheme.THETA7) + catalog(Scheme.THETA8)
     assert len(patterns) == 20
-    info = _pattern_automorphisms.cache_info()
-    assert info.misses <= len(patterns)
-    assert info.hits >= len(patterns) * (len(hosts) - 1)
+    # the group is read only when a pattern's plan, which holds its
+    # symmetry conditions, is built; every later host reuses the plan
+    assert _pattern_automorphisms.cache_info().misses <= len(patterns)
+    assert _search_plan.cache_info().hits >= len(patterns) * (len(hosts) - 1)
     for pattern in patterns:
         cached = _pattern_automorphisms(pattern)
         brute = _brute_automorphisms(pattern)
         assert len(cached) == len(set(cached))
         assert set(cached) == set(brute), pattern.id
+
+
+def _ring(pid, k, nonedges=()):
+    """An unconstrained pattern on slots s0..s(k-1) joined in a cycle."""
+    names = [f"s{i}" for i in range(k)]
+    return Pattern(
+        pid,
+        Scheme.THETA7,
+        f"a {k}-cycle of unconstrained slots",
+        tuple(PatternVertex(x) for x in names),
+        tuple((names[i], names[(i + 1) % k]) for i in range(k)),
+        tuple(nonedges),
+        None,
+    )
+
+
+# C5 with no slot constraints: a dihedral group, where the stabilizer of
+# slot 0 still swaps slots 1 and 4
+_C5 = _ring("c5", 5)
+# C4 with both diagonals as nonedges: the induced 4-cycle
+_C4 = _ring("c4", 4, [("s0", "s2"), ("s1", "s3")])
+# K4: the full symmetric group on its slots
+_K4 = Pattern(
+    "k4",
+    Scheme.THETA7,
+    "four pairwise adjacent slots",
+    tuple(PatternVertex(x) for x in "abcd"),
+    tuple(itertools.combinations("abcd", 2)),
+    (),
+    None,
+)
+# a 5-path with slot 0 at its center and nonedges from the center to both
+# ends; the plan places end e4 before end e1, so the condition between
+# them bounds e1 from above
+_P5 = Pattern(
+    "p5",
+    Scheme.THETA7,
+    "a 5-path around its center slot",
+    tuple(PatternVertex(x) for x in ("c", "e1", "m2", "m3", "e4")),
+    (("c", "m2"), ("c", "m3"), ("m3", "e1"), ("m2", "e4")),
+    (("c", "e1"), ("c", "e4")),
+    None,
+)
+_SYNTHETIC = [_C5, _C4, _K4, _P5]
+
+
+def test_symmetry_conditions_keep_least_image(rng):
+    patterns = catalog(Scheme.THETA7) + catalog(Scheme.THETA8) + _SYNTHETIC
+    for pattern in patterns:
+        p = len(pattern.vertices)
+        autos = _brute_automorphisms(pattern)
+        conditions = _symmetry_conditions(pattern)
+        for _ in range(40):
+            vec = tuple(rng.sample(range(3 * p), p))
+            images = {tuple(vec[s[i]] for i in range(p)) for s in autos}
+            assert len(images) == len(autos)
+            kept = [
+                w for w in images if all(w[i] < w[j] for i, j in conditions)
+            ]
+            assert kept == [min(images)], pattern.id
+    assert len(_symmetry_conditions(_K4)) == 6
+    assert _symmetry_conditions(_C5) == ((0, 1), (0, 2), (0, 3), (0, 4), (1, 4))
+    # every condition is checked once, at the later of its two slots
+    for pattern in patterns:
+        plan = _search_plan(pattern)
+        placed = {
+            (j, s.slot) for s in plan for j in s.above
+        } | {(s.slot, j) for s in plan for j in s.below}
+        assert sorted(placed) == sorted(_symmetry_conditions(pattern))
+    assert any(s.below for s in _search_plan(_P5))
+
+
+@pytest.mark.parametrize("pattern", _SYNTHETIC, ids=lambda p: p.id)
+def test_matcher_on_symmetric_patterns(rng, monkeypatch, pattern):
+    monkeypatch.setattr(patterns_module, "catalog", lambda scheme: [pattern])
+    cases = [
+        Graph(*oracles.petersen()),
+        Graph(*oracles.complete(5)),
+        Graph(*oracles.complete_bipartite(3, 3)),
+        _union(oracles.cycle(5), oracles.cycle(4)),
+    ]
+    cases += [random_graph(rng, rng.randint(5, 9), 0.5) for _ in range(6)]
+    total = 0
+    for g in cases:
+        labels = classify(g, Scheme.THETA7).labels
+        found = find_configurations(g, Scheme.THETA7, labels)
+        assert _match_keys(found) == _brute_matches(g, Scheme.THETA7, [pattern])
+        assert len(found) == len(_match_keys(found))
+        total += len(found)
+    assert total > 0
 
 
 def test_matches_are_sorted_and_verifiable():
