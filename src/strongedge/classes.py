@@ -18,6 +18,7 @@ guessed into a class.
 from __future__ import annotations
 
 import enum
+from fractions import Fraction
 from typing import NamedTuple
 
 
@@ -265,13 +266,17 @@ def classify(g, scheme):
 
 def scheme_labels(scheme):
     """The set of proper labels (UNCLASSIFIED excluded) for a scheme."""
-    return THETA7_LABELS if scheme is Scheme.THETA7 else THETA8_LABELS
+    if scheme is Scheme.THETA7:
+        return THETA7_LABELS
+    if scheme is Scheme.THETA8:
+        return THETA8_LABELS
+    raise ValueError(f"unknown scheme {scheme!r}")
 
 
 def scheme_target(scheme):
     """The charge target the scheme's discharging argument uses."""
-    from fractions import Fraction
-
     if scheme is Scheme.THETA7:
         return Fraction(34, 11)
-    return Fraction(113, 31)
+    if scheme is Scheme.THETA8:
+        return Fraction(113, 31)
+    raise ValueError(f"unknown scheme {scheme!r}")

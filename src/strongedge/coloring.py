@@ -7,8 +7,10 @@ A strong edge-coloring is a proper vertex coloring of the conflict graph
 * per-edge color lists: the palette colors unused on edges an edge sees,
 * a list-size-ordered greedy extension (sound whenever some ordering of
   the uncolored edges has the i-th list of size at least i),
-* systems of distinct representatives via bipartite matching, with a
-  certified violating subfamily when none exists,
+* systems of distinct representatives by maximum flow on the mad
+  solver's engine (``metrics._Dinic``), with a violating subfamily
+  from the minimum cut when none exists; it falls short of Hall's
+  condition by exactly the number of sets no matching covers,
 * the erase-and-extend maneuver: uncolor chosen edges, then retry by
   same-color reuse, by SDR, or by plain greedy, in that order,
 * an exact decision procedure: branch and bound in DSATUR order (Brelaz
@@ -29,6 +31,8 @@ from __future__ import annotations
 
 import time
 from typing import NamedTuple
+
+from .metrics import _Dinic
 
 
 class PartialColoring:
@@ -164,78 +168,48 @@ def greedy_extend(cg, c, targets):
 class SDRResult(NamedTuple):
     ok: bool
     reps: tuple  # one representative per set, aligned with the family
-    violator: tuple  # indices I with |union of S_i| < |I|, or None
+    # indices I with |union of S_i| < |I|, or None; |I| exceeds the union
+    # size by the number of sets that no matching covers
+    violator: tuple
     union_size: object  # size of that union, or None
 
 
 def hall_sdr(fam):
     """A system of distinct representatives, or a certified violator.
 
-    Bipartite maximum matching (sets on the left, elements on the right,
-    augmenting paths in set order, elements tried ascending).  Each path
-    is a depth-first search over an explicit stack, so a path may be as
-    long as the family.  When some set stays unmatched, the indices
-    reachable from it by alternating paths form a family whose union is
-    smaller than its size; that index set and the union size are returned
-    as the violation certificate.
+    Maximum flow on the unit network source -> set -> element -> sink
+    (``metrics._Dinic``; sets in family order, elements ascending).  A
+    flow through every set gives each set's representative by its
+    saturated arc.  Otherwise the sets on the source side of the minimum
+    cut are returned as the violator, with the size of their union.  By
+    Konig's argument that union is exactly the elements on the same side,
+    so the violator outnumbers its union by the number of sets that no
+    matching covers.
     """
-    sets = [sorted(s) for s in fam.sets]
-    match_of_elem = {}
-    match_of_set = [None] * len(sets)
-
-    def augment(root):
-        seen = set()
-        # One (set, its untried elements) frame per set on the path; path
-        # holds the element each frame but the last descended through.
-        stack = [(root, iter(sets[root]))]
-        path = []
-        while stack:
-            for x in stack[-1][1]:
-                if x in seen:
-                    continue
-                seen.add(x)
-                path.append(x)
-                j = match_of_elem.get(x)
-                if j is None:
-                    for (i, _), y in zip(stack, path):
-                        match_of_elem[y] = i
-                        match_of_set[i] = y
-                    return True
-                stack.append((j, iter(sets[j])))
-                break
-            else:
-                stack.pop()
-                if path:
-                    path.pop()
-        return False
-
-    unmatched = None
-    for i in range(len(sets)):
-        if not augment(i):
-            unmatched = i
-            break
-    if unmatched is None:
-        return SDRResult(True, tuple(match_of_set), None, None)
-    # Alternating reachability from the unmatched set: visit an element,
-    # then continue from the set it is matched to.
-    reach_sets = {unmatched}
-    reach_elems = set()
-    frontier = [unmatched]
-    while frontier:
-        i = frontier.pop()
-        for x in sets[i]:
-            if x in reach_elems:
-                continue
-            reach_elems.add(x)
-            j = match_of_elem.get(x)
-            if j is not None and j not in reach_sets:
-                reach_sets.add(j)
-                frontier.append(j)
-    union = set()
-    for i in reach_sets:
-        union.update(sets[i])
-    violator = tuple(sorted(reach_sets))
-    assert len(union) < len(violator), "violator certificate must be valid"
+    sets = fam.sets
+    k, n = fam.k, len(sets)
+    # node 0 is the source, x in 1..k the element x, k + 1 + i set i
+    s, t = 0, k + n + 1
+    net = _Dinic(k + n + 2)
+    for x in range(1, k + 1):
+        net.add(x, t, 1)
+    for i, members in enumerate(sets):
+        net.add(s, k + 1 + i, 1)
+        for x in sorted(members):
+            net.add(k + 1 + i, x, 1)
+    matched = net.max_flow(s, t)
+    if matched == n:
+        # head[set][0] is the reverse of the source arc; the rest lead
+        # to the set's elements, and exactly one of them carries flow
+        reps = tuple(
+            next(net.to[a] for a in net.head[k + 1 + i][1:] if not net.cap[a])
+            for i in range(n)
+        )
+        return SDRResult(True, reps, None, None)
+    side = net.min_cut_side(s)
+    violator = tuple(i for i in range(n) if side[k + 1 + i])
+    union = set().union(*(sets[i] for i in violator))
+    assert len(violator) - len(union) == n - matched, "Konig deficiency"
     return SDRResult(False, None, violator, len(union))
 
 

@@ -230,7 +230,12 @@ def parse_graph6(line):
     if isinstance(line, bytes):
         data = line
     else:
-        data = line.encode("ascii", errors="replace")
+        try:
+            data = line.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise Graph6Error(
+                f"character {line[exc.start]!r} is not ASCII", exc.start
+            ) from None
     data = data.rstrip(b"\r\n")
     if not data:
         raise Graph6Error("empty input", 0)

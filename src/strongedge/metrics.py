@@ -106,41 +106,50 @@ class _Dinic:
         self.cap.append(0)
 
     def max_flow(self, s, t):
+        head, to, cap = self.head, self.to, self.cap
         flow = 0
         while True:
             level = [-1] * self.n
             level[s] = 0
             queue = [s]
             for u in queue:
-                for a in self.head[u]:
-                    v = self.to[a]
-                    if self.cap[a] > 0 and level[v] < 0:
+                for a in head[u]:
+                    v = to[a]
+                    if cap[a] > 0 and level[v] < 0:
                         level[v] = level[u] + 1
                         queue.append(v)
             if level[t] < 0:
                 return flow
+            # Blocking flow by one walk over an explicit arc stack: advance
+            # along the level graph; at t push the path's bottleneck and
+            # restart from s; at a dead end retreat one arc and skip it.
+            # it[u] moves only past dead arcs, never after a push.
             it = [0] * self.n
-
-            def augment(u, limit):
-                if u == t:
-                    return limit
-                while it[u] < len(self.head[u]):
-                    a = self.head[u][it[u]]
-                    v = self.to[a]
-                    if self.cap[a] > 0 and level[v] == level[u] + 1:
-                        pushed = augment(v, min(limit, self.cap[a]))
-                        if pushed:
-                            self.cap[a] -= pushed
-                            self.cap[a ^ 1] += pushed
-                            return pushed
-                    it[u] += 1
-                return 0
-
+            path = []
+            u = s
             while True:
-                pushed = augment(s, 1 << 62)
-                if not pushed:
-                    break
-                flow += pushed
+                if u == t:
+                    pushed = min(cap[a] for a in path)
+                    for a in path:
+                        cap[a] -= pushed
+                        cap[a ^ 1] += pushed
+                    flow += pushed
+                    path.clear()
+                    u = s
+                arcs = head[u]
+                for i in range(it[u], len(arcs)):
+                    a = arcs[i]
+                    if cap[a] > 0 and level[to[a]] == level[u] + 1:
+                        it[u] = i
+                        path.append(a)
+                        u = to[a]
+                        break
+                else:
+                    if not path:
+                        break
+                    it[u] = len(arcs)
+                    u = to[path.pop() ^ 1]
+                    it[u] += 1
 
     def min_cut_side(self, s):
         """Nodes reachable from s in the residual network after max_flow."""

@@ -10,6 +10,7 @@ isomorphism.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 
 
@@ -155,6 +156,26 @@ def find_sdr(sets):
         return False
 
     return reps if go(0, frozenset()) else None
+
+
+def matching_number(sets):
+    """Most sets that can take pairwise distinct representatives.
+
+    Backtracking over the sets in order, each taking an unused element or
+    none, memoized on (set index, elements used).
+    """
+    sets = [frozenset(s) for s in sets]
+
+    @lru_cache(maxsize=None)
+    def go(i, used):
+        if i == len(sets):
+            return 0
+        best = go(i + 1, used)
+        for x in sets[i] - used:
+            best = max(best, 1 + go(i + 1, used | {x}))
+        return best
+
+    return go(0, frozenset())
 
 
 def subgraph_embeddings(n, edges, pat_n, pat_edges, vertex_ok=None):

@@ -274,3 +274,9 @@ def test_scheme_tables():
     assert len(scheme_labels(Scheme.THETA8)) == 11
     with pytest.raises(ValueError):
         classify(Graph(1, []), "theta7")
+    # a bare string is not a scheme: every scheme table refuses it alike
+    for name in ("theta7", "theta8", None):
+        with pytest.raises(ValueError):
+            scheme_target(name)
+        with pytest.raises(ValueError):
+            scheme_labels(name)

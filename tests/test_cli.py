@@ -326,6 +326,10 @@ def test_verify_argument_errors(capsys, tmp_path):
     assert exc.value.code == 3
     code, _, err = _run(capsys, ["verify", "--theorem", "1", "--max-n", "0"])
     assert code == 3 and "--max-n" in err
+    bad = tmp_path / "bad.g6"
+    bad.write_text("A_\nA\u00e9\n", encoding="utf-8")
+    code, _, err = _run(capsys, ["verify", "--theorem", "1", "--corpus", str(bad)])
+    assert code == 3 and "not ASCII" in err
 
 
 def test_verify_exit_2_on_failure(capsys, monkeypatch):
@@ -340,6 +344,20 @@ def test_verify_exit_2_on_failure(capsys, monkeypatch):
     monkeypatch.setattr(strongedge.cli, "verify_theorem", failing)
     code, _, _ = _run(capsys, ["verify", "--theorem", "1", "--max-n", "2"])
     assert code == 2
+
+
+def test_verify_exit_0_on_timeouts(capsys, monkeypatch):
+    real = strongedge.cli.verify_theorem
+
+    def timing_out(which, corpus, budget=10.0, jobs=None, descriptor=""):
+        report = real(which, corpus, budget=budget, jobs=1, descriptor=descriptor)
+        summary = dict(report.summary)
+        summary["timeouts"] = 1
+        return report._replace(summary=summary)
+
+    monkeypatch.setattr(strongedge.cli, "verify_theorem", timing_out)
+    code, _, _ = _run(capsys, ["verify", "--theorem", "1", "--max-n", "2"])
+    assert code == 0
 
 
 def test_console_entry_point(c5_edges):

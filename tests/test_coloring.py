@@ -139,6 +139,9 @@ def _sdr_agrees_with_oracle(k, sets):
         for i in res.violator:
             union |= set(sets[i])
         assert len(union) == res.union_size < len(res.violator)
+        # the violator certifies the full deficiency, not just some shortfall
+        deficiency = len(sets) - oracles.matching_number(sets)
+        assert len(res.violator) - res.union_size == deficiency
 
 
 def test_hall_sdr_exhaustive_small():
@@ -188,6 +191,7 @@ def test_hall_sdr_long_augmenting_path():
     assert not res.ok and res.reps is None
     union = set().union(*(sets[i] for i in res.violator))
     assert len(union) == res.union_size < len(res.violator)
+    assert len(res.violator) - res.union_size == 1
 
 
 def test_set_family_rejects_foreign_elements():

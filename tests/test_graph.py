@@ -168,6 +168,10 @@ def test_graph6_errors_carry_offsets():
     except Graph6Error as exc:
         err = exc
     assert err is not None and err.offset == 2
+    # a non-ASCII character is an error at its offset, not a data byte
+    with pytest.raises(Graph6Error) as info:
+        parse_graph6("A\u00e9")
+    assert info.value.offset == 1
 
 
 def test_parse_edge_list():

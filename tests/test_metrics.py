@@ -115,6 +115,11 @@ def test_mad_exact_beyond_bruteforce_range():
     value, witness = mad_exact(Graph(1008, k4 + second + bridge))
     assert value == 3
     assert witness == tuple(range(8))
+    # A triangle at the end of a 3000-vertex path: the whole graph ties
+    # the triangle's density, and the one cut at rho = 1 needs augmenting
+    # paths about 3000 arcs long, deeper than the default recursion limit.
+    g = Graph(3000, [(0, 2)] + [(v, v + 1) for v in range(2999)])
+    assert mad_exact(g) == (2, tuple(range(3000)))
 
 
 def test_mad_of_regular_graphs_is_the_degree():
