@@ -37,6 +37,7 @@ from .classes import (
     Classification,
     ClassLabel,
     Scheme,
+    THEOREMS,
     THETA7_3C,
     THETA7_LABELS,
     THETA8_LABELS,
@@ -89,7 +90,6 @@ from .smallgraphs import CONNECTED_COUNTS, MAX_N, enumerate_connected
 from .verify import (
     GraphRecord,
     SCHEMA,
-    THEOREMS,
     VerificationReport,
     emit_report,
     report_to_json,
@@ -119,6 +119,7 @@ __all__ = [
     "Classification",
     "ClassLabel",
     "Scheme",
+    "THEOREMS",
     "THETA7_3C",
     "THETA7_LABELS",
     "THETA8_LABELS",
@@ -170,7 +171,6 @@ __all__ = [
     # verify
     "GraphRecord",
     "SCHEMA",
-    "THEOREMS",
     "VerificationReport",
     "emit_report",
     "report_to_json",

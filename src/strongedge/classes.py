@@ -1,4 +1,8 @@
-"""Vertex taxonomies for the two sparse-graph settings.
+"""Vertex taxonomies for the two sparse-graph settings, and their theorems.
+
+`THEOREMS` and `scheme_target` are the one home of each theorem's numbers:
+Ore degree at most the cap and mad below the target give a strong chromatic
+index at most the palette, which the catalog's replays also use.
 
 Two classification schemes refine vertices by degree and neighbor makeup.
 Under the first scheme (edge degree-sum at most 7) vertices of degree 2, 3,
@@ -280,3 +284,7 @@ def scheme_target(scheme):
     if scheme is Scheme.THETA8:
         return Fraction(113, 31)
     raise ValueError(f"unknown scheme {scheme!r}")
+
+
+# Theorem number -> (scheme, Ore-degree cap, palette).
+THEOREMS = {1: (Scheme.THETA7, 7, 13), 2: (Scheme.THETA8, 8, 20)}

@@ -38,7 +38,7 @@ from .graph import build_conflict_graph, parse_edge_list, parse_graph6
 from .metrics import mad_exact, ore_degree
 from .patterns import find_configurations, verify_reducibility
 from .smallgraphs import MAX_N, enumerate_connected
-from .verify import report_to_json, verify_theorem
+from .verify import _frac, report_to_json, verify_theorem
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,14 +99,10 @@ def _cmd_metrics(args):
     }
     if g.m:
         value, witness = mad_exact(g)
-        doc["mad"] = {
-            "num": value.numerator,
-            "den": value.denominator,
-            "witness": list(witness),
-        }
+        doc["mad"] = {**_frac(value), "witness": list(witness)}
     else:
         doc["mad"] = None
-    for scheme in (Scheme.THETA7, Scheme.THETA8):
+    for scheme in Scheme:
         labels = classify(g, scheme).labels
         doc[f"classes_{scheme.value}"] = {
             str(v): labels[v].value for v in range(g.n)
@@ -242,25 +238,25 @@ def _cmd_discharge(args):
     )
     negatives = audit_negative(ledger, g, labels, scheme)
     doc = {
-        "target": str(target),
-        "sum_initial": str(sum(ledger.initial.values())),
-        "sum_final": str(sum(ledger.final.values())),
+        "target": _frac(target),
+        "sum_initial": _frac(sum(ledger.initial.values())),
+        "sum_final": _frac(sum(ledger.final.values())),
         "vertices": [
             {
                 "v": v,
-                "initial": str(ledger.initial[v]),
-                "final": str(ledger.final[v]),
+                "initial": _frac(ledger.initial[v]),
+                "final": _frac(ledger.final[v]),
             }
             for v in range(g.n)
         ],
         "transfers": [
-            {"rule": rule, "from": s, "to": r, "amount": str(a)}
+            {"rule": rule, "from": s, "to": r, "amount": _frac(a)}
             for rule, s, r, a in ledger.transfers
         ],
         "negatives": [
             {
                 "v": rec.vertex,
-                "final": str(rec.final),
+                "final": _frac(rec.final),
                 "patterns": list(rec.patterns),
             }
             for rec in negatives
@@ -301,6 +297,19 @@ def _cmd_verify(args):
     return 2 if report.summary["failures"] else 0
 
 
+def _at_least(low, convert):
+    """An argparse type: `convert(text)`, refused below `low` or if NaN."""
+
+    def parse(text):
+        value = convert(text)
+        if not value >= low:
+            raise argparse.ArgumentTypeError(f"expected >= {low}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names the type in errors
+    return parse
+
+
 def _build_parser():
     parser = _Parser(
         prog="strongedge",
@@ -308,6 +317,8 @@ def _build_parser():
         "catalogs, charge redistribution, and theorem verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    schemes = [scheme.value for scheme in Scheme]
+    seconds = _at_least(0, float)
 
     def add_input(p):
         p.add_argument("file", help="input graph file")
@@ -333,7 +344,7 @@ def _build_parser():
         action="store_true",
         help="compute the exact index (default when --k is absent)",
     )
-    p.add_argument("--budget", type=float, default=10.0, help="seconds")
+    p.add_argument("--budget", type=seconds, default=10.0, help="seconds")
     add_out(p)
     p.set_defaults(func=_cmd_color)
 
@@ -345,23 +356,19 @@ def _build_parser():
 
     p = sub.add_parser("configs", help="find catalog configurations")
     add_input(p)
-    p.add_argument(
-        "--scheme", choices=("theta7", "theta8"), required=True
-    )
+    p.add_argument("--scheme", choices=schemes, required=True)
     p.add_argument(
         "--verify",
         action="store_true",
         help="replay each match's deletion/extension recipe",
     )
-    p.add_argument("--budget", type=float, default=10.0, help="seconds")
+    p.add_argument("--budget", type=seconds, default=10.0, help="seconds")
     add_out(p)
     p.set_defaults(func=_cmd_configs)
 
     p = sub.add_parser("discharge", help="run charge redistribution")
     add_input(p)
-    p.add_argument(
-        "--scheme", choices=("theta7", "theta8"), required=True
-    )
+    p.add_argument("--scheme", choices=schemes, required=True)
     p.add_argument("--rules", help="custom rule set JSON")
     add_out(p)
     p.set_defaults(func=_cmd_discharge)
@@ -371,8 +378,8 @@ def _build_parser():
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--max-n", type=int, help="use builtin enumerator up to n")
     src.add_argument("--corpus", help="graph6 file, one graph per line")
-    p.add_argument("--jobs", type=int, default=None, help="worker processes")
-    p.add_argument("--budget", type=float, default=10.0, help="seconds per graph")
+    p.add_argument("--jobs", type=_at_least(1, int), help="worker processes")
+    p.add_argument("--budget", type=seconds, default=10.0, help="seconds per graph")
     add_out(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -253,7 +253,7 @@ def load_ruleset(source, scheme):
     * ``id``: unique rule name,
     * ``sender`` and ``receiver``: arrays of class label strings
       (the same spellings the classifier reports, e.g. ``"3C_weak"``),
-    * ``amount``: a positive rational as a ``"p/q"`` string,
+    * ``amount``: a positive rational as a ``"p/q"`` string or an integer,
     * ``arity`` (optional): ``"ALL_MATCHING"`` (default) or
       ``"ONE_DESIGNATED"``,
     * ``avoid`` (optional): class array, only meaningful with
@@ -304,6 +304,8 @@ def load_ruleset(source, scheme):
         sender = classes("sender", sender)
         receiver = classes("receiver", receiver)
         try:
+            if type(amount) not in (int, str):  # a JSON float or bool is inexact
+                raise TypeError
             amount = Fraction(amount)
         except (ValueError, ZeroDivisionError, TypeError):
             raise ValueError(

@@ -19,11 +19,11 @@ step that places the later of its two slots, so the search emits only
 the lexicographically least placement of each symmetry orbit and never
 meets the others.  Per host, the vertex constraints are tested once per
 (degree, class label) signature.  Patterns also carry a replayable
-recipe: delete one host vertex, color what remains exactly, optionally
-erase a few edge colors, then extend the coloring back over the missing
-edges.  `verify_reducibility` runs the recipe on a concrete match and
-compares the observed per-edge conflict counts with the ceilings
-asserted in the catalog.
+recipe: delete one host vertex, color what remains exactly with its
+theorem's palette (read from `classes.THEOREMS`), optionally erase a few
+edge colors, then extend the coloring back over the missing edges.
+`verify_reducibility` runs the recipe on a concrete match and compares
+the observed per-edge conflict counts with the catalog's ceilings.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import functools
 import itertools
 from typing import NamedTuple
 
-from .classes import THETA7_3C, THETA8_4C, ClassLabel, Scheme, classify
+from .classes import THEOREMS, THETA7_3C, THETA8_4C, ClassLabel, Scheme, classify
 from .coloring import PartialColoring, erase_and_extend, k_colorable
 from .graph import build_conflict_graph, delete_vertex
 
@@ -59,11 +59,13 @@ class Pattern(NamedTuple):
 
 
 class ConcreteRecipe(NamedTuple):
-    """A recipe instantiated on one match: what to delete, erase, check."""
+    """A recipe instantiated on one match: what to delete, erase, check.
+
+    The palette is not the recipe's: the replay takes its theorem's.
+    """
 
     delete: int  # host vertex to remove
     erase: tuple  # host edges (vertex pairs) whose colors get erased
-    k: int  # palette size
     pre_bounds: tuple  # ((u, v), ceiling) before erasure
     post_bounds: tuple  # ((u, v), ceiling) after erasure
 
@@ -338,6 +340,7 @@ def verify_reducibility(g, m, budget=10.0):
     if not match_satisfies(g, pattern, labels, mapping):
         raise ValueError(f"match of {pattern.id!r} does not hold in this graph")
     recipe = pattern.recipe(g, labels, mapping)
+    k = _PALETTE[pattern.scheme]
     v = recipe.delete
     cg = build_conflict_graph(g)
 
@@ -373,11 +376,11 @@ def verify_reducibility(g, m, budget=10.0):
 
     h, vmap = delete_vertex(g, v)
     cg_h = build_conflict_graph(h)
-    solve = k_colorable(cg_h, recipe.k, time_budget=budget)
+    solve = k_colorable(cg_h, k, time_budget=budget)
     if solve.status in ("TIMEOUT", "UNSAT"):
         verdict = "TIMEOUT" if solve.status == "TIMEOUT" else "VACUOUS"
         return ReducibilityReport(
-            pattern.id, verdict, recipe.k, v, erased_pairs, None,
+            pattern.id, verdict, k, v, erased_pairs, None,
             bounds, bounds_ok, solve.nodes, solve.time_ms, None, None,
         )
 
@@ -388,7 +391,7 @@ def verify_reducibility(g, m, budget=10.0):
     colors = [None] * g.m
     for eid_h, (a, b) in enumerate(h.edges):
         colors[g.edge_id(inv[a], inv[b])] = solve.coloring.colors[eid_h]
-    partial = PartialColoring(recipe.k, colors)
+    partial = PartialColoring(k, colors)
     targets = sorted(g.incident_edges(v))
 
     outcome = erase_and_extend(cg, partial, erase_ids, targets)
@@ -400,7 +403,7 @@ def verify_reducibility(g, m, budget=10.0):
     return ReducibilityReport(
         pattern.id,
         "EXTENDED" if outcome.ok else "NOT_EXTENDED",
-        recipe.k,
+        k,
         v,
         erased_pairs,
         outcome.strategy,
@@ -443,27 +446,16 @@ def _other_neighbors(g, v, exclude):
     return [u for u in g.neighbors(v) if u not in ex]
 
 
-def _generic(delete, k):
-    return ConcreteRecipe(delete, (), k, (), ())
+def _generic(delete):
+    return ConcreteRecipe(delete, (), (), ())
+
+
+def _deletes(slot):
+    """The recipe that deletes the host of `slot` and asserts no ceiling."""
+    return lambda g, labels, a: _generic(a[slot])
 
 
 # -- theta7 recipes --------------------------------------------------------
-
-
-def _r7_deg_outside(g, labels, a):
-    return _generic(a["x"], 13)
-
-
-def _r7_deg2_bad(g, labels, a):
-    return _generic(a["u"], 13)
-
-
-def _r7_3d_pair(g, labels, a):
-    return _generic(a["x"], 13)
-
-
-def _r7_deg4_two2(g, labels, a):
-    return _generic(a["x"], 13)
 
 
 def _r7_triangle(g, labels, a):
@@ -475,22 +467,22 @@ def _r7_triangle(g, labels, a):
         b1, b2 = [v for v in hosts if v != x]
         (y,) = _other_neighbors(g, x, (b1, b2))
         pre = (((x, y), 12), ((x, b1), 9), ((x, b2), 9))
-        return ConcreteRecipe(x, (), 13, pre, ())
+        return ConcreteRecipe(x, (), pre, ())
     if len(four) == 1 and len(three) == 2:
         w = four[0]
         x, b = three
         (z,) = _other_neighbors(g, x, (w, b))
         pre = (((x, z), 13), ((x, w), 11), ((x, b), 10), ((w, b), 10))
         post = (((x, z), 12), ((x, w), 10), ((x, b), 9), ((w, b), 10))
-        return ConcreteRecipe(x, ((w, b),), 13, pre, post)
-    return _generic(hosts[0], 13)
+        return ConcreteRecipe(x, ((w, b),), pre, post)
+    return _generic(hosts[0])
 
 
 def _r7_four_cycle(g, labels, a):
     x1, x2, x4 = a["x1"], a["x2"], a["x4"]
     (y,) = _other_neighbors(g, x1, (x2, x4))
     pre = (((x1, y), 12), ((x1, x2), 10), ((x1, x4), 10))
-    return ConcreteRecipe(x1, (), 13, pre, ())
+    return ConcreteRecipe(x1, (), pre, ())
 
 
 def _r7_five_cycle(g, labels, a):
@@ -499,7 +491,7 @@ def _r7_five_cycle(g, labels, a):
     )
     pre = (((x1, y), 12), ((x1, x2), 11), ((x1, x5), 11), ((x3, x4), 10))
     post = (((x1, y), 12), ((x1, x2), 10), ((x1, x5), 10), ((x3, x4), 10))
-    return ConcreteRecipe(x1, ((x3, x4),), 13, pre, post)
+    return ConcreteRecipe(x1, ((x3, x4),), pre, post)
 
 
 def _r7_pan(g, labels, a):
@@ -508,7 +500,7 @@ def _r7_pan(g, labels, a):
     )
     pre = (((x1, y), 11), ((x1, x2), 11), ((x1, x5), 11), ((x3, x4), 11))
     post = (((x1, y), 11), ((x1, x2), 10), ((x1, x5), 10), ((x3, x4), 11))
-    return ConcreteRecipe(x1, ((x3, x4),), 13, pre, post)
+    return ConcreteRecipe(x1, ((x3, x4),), pre, post)
 
 
 def _r7_two_weak(g, labels, a):
@@ -522,7 +514,7 @@ def _r7_two_weak(g, labels, a):
         ((x, y1), 9), ((x, y2), 9), ((x, w), 10),
         ((y1, z1), 10), ((y2, z2), 10),
     )
-    return ConcreteRecipe(x, ((y1, z1), (y2, z2)), 13, pre, post)
+    return ConcreteRecipe(x, ((y1, z1), (y2, z2)), pre, post)
 
 
 def _r7_weak_moderate(g, labels, a):
@@ -537,7 +529,7 @@ def _r7_weak_moderate(g, labels, a):
         ((x, y1), 9), ((x, y2), 9), ((x, y3), 9),
         ((y1, z1), 10), ((y2, z2), 11),
     )
-    return ConcreteRecipe(x, ((y1, z1), (y2, z2)), 13, pre, post)
+    return ConcreteRecipe(x, ((y1, z1), (y2, z2)), pre, post)
 
 
 _THETA7_PATTERNS = (
@@ -548,7 +540,7 @@ _THETA7_PATTERNS = (
         (PatternVertex("x", degree_in=frozenset({1, 5, 6})),),
         (),
         (),
-        _r7_deg_outside,
+        _deletes("x"),
     ),
     _pattern(
         "deg2-bad-neighbor",
@@ -560,7 +552,7 @@ _THETA7_PATTERNS = (
         ),
         (("u", "z"),),
         (),
-        _r7_deg2_bad,
+        _deletes("u"),
     ),
     _pattern(
         "deg3d-pair-low-support",
@@ -575,7 +567,7 @@ _THETA7_PATTERNS = (
         ),
         (("x", "y"), ("x", "u")),
         (),
-        _r7_3d_pair,
+        _deletes("x"),
     ),
     _pattern(
         "deg4-two-deg2",
@@ -588,7 +580,7 @@ _THETA7_PATTERNS = (
         ),
         (("x", "u1"), ("x", "u2")),
         (),
-        _r7_deg4_two2,
+        _deletes("x"),
     ),
     _pattern(
         "triangle",
@@ -704,33 +696,31 @@ def _r8_deg_outside(g, labels, a):
     d = g.degree(x)
     if d == 1:
         (y,) = g.neighbors(x)
-        return ConcreteRecipe(x, (), 20, (((x, y), 12),), ())
+        return ConcreteRecipe(x, (), (((x, y), 12),), ())
     if d == 2:
         y1, y2 = g.neighbors(x)
-        return ConcreteRecipe(
-            x, (), 20, (((x, y1), 17), ((x, y2), 17)), ()
-        )
-    return _generic(x, 20)
+        return ConcreteRecipe(x, (), (((x, y1), 17), ((x, y2), 17)), ())
+    return _generic(x)
 
 
 def _r8_three_pair(g, labels, a):
     x, y, z = a["x"], a["y"], a["z"]
     (w,) = _other_neighbors(g, x, (y, z))
     pre = (((x, y), 17), ((x, z), 18), ((x, w), 17))
-    return ConcreteRecipe(x, (), 20, pre, ())
+    return ConcreteRecipe(x, (), pre, ())
 
 
 def _r8_four_deg3(g, labels, a):
     x = a["x"]
     ys = sorted(a[k] for k in ("y1", "y2", "y3", "y4"))
     pre = tuple(((x, y), 16) for y in ys)
-    return ConcreteRecipe(x, (), 20, pre, ())
+    return ConcreteRecipe(x, (), pre, ())
 
 
 def _r8_3d_support(g, labels, a):
     x, y1, y2, y3 = a["x"], a["y1"], a["y2"], a["y3"]
     pre = (((x, y1), 17), ((x, y2), 18), ((x, y3), 18))
-    return ConcreteRecipe(x, (), 20, pre, ())
+    return ConcreteRecipe(x, (), pre, ())
 
 
 def _r8_4d_bad(g, labels, a):
@@ -746,7 +736,7 @@ def _r8_4d_bad(g, labels, a):
         )
     else:
         pre = (((x, w), 16),) + tuple(((x, u), 17) for u in three_nbs)
-    return ConcreteRecipe(x, (), 20, pre, ())
+    return ConcreteRecipe(x, (), pre, ())
 
 
 def _r8_triangle_4c(g, labels, a):
@@ -755,18 +745,14 @@ def _r8_triangle_4c(g, labels, a):
     pre = (
         ((h1, h2), 13), ((h1, h3), 13), ((h1, y1), 17), ((h1, y2), 17)
     )
-    return ConcreteRecipe(h1, (), 20, pre, ())
-
-
-def _r8_triangle_deg3(g, labels, a):
-    return _generic(a["x1"], 20)
+    return ConcreteRecipe(h1, (), pre, ())
 
 
 def _r8_four_cycle_4c(g, labels, a):
     x1, x2, x4 = a["x1"], a["x2"], a["x4"]
     (y,) = _other_neighbors(g, x1, (x2, x4))
     pre = (((x1, y), 18), ((x1, x2), 17), ((x1, x4), 17))
-    return ConcreteRecipe(x1, (), 20, pre, ())
+    return ConcreteRecipe(x1, (), pre, ())
 
 
 def _r8_4cweak(g, labels, a):
@@ -781,7 +767,7 @@ def _r8_4cweak(g, labels, a):
         ((x, y1), 15), ((x, y2), 15), ((x, z1), 15), ((x, z2), 15),
         ((z1, w1), 17), ((z2, w2), 17),
     )
-    return ConcreteRecipe(x, ((z1, w1), (z2, w2)), 20, pre, post)
+    return ConcreteRecipe(x, ((z1, w1), (z2, w2)), pre, post)
 
 
 def _r8_5v_bweak(g, labels, a):
@@ -797,7 +783,7 @@ def _r8_5v_bweak(g, labels, a):
         + tuple(((x, u), 16) for u in others)
         + (((y1, z1), 15), ((y2, z2), 15))
     )
-    return ConcreteRecipe(x, ((y1, z1), (y2, z2)), 20, pre, post)
+    return ConcreteRecipe(x, ((y1, z1), (y2, z2)), pre, post)
 
 
 _THETA8_PATTERNS = (
@@ -890,7 +876,7 @@ _THETA8_PATTERNS = (
         ),
         (("x1", "x2"), ("x1", "x3"), ("x2", "x3")),
         (),
-        _r8_triangle_deg3,
+        _deletes("x1"),
     ),
     _pattern(
         "four-cycle-4c",
@@ -947,6 +933,7 @@ _THETA8_PATTERNS = (
 )
 
 _BY_ID = {p.id: p for p in _THETA7_PATTERNS + _THETA8_PATTERNS}
+_PALETTE = {scheme: palette for scheme, _, palette in THEOREMS.values()}
 
 
 def catalog(scheme):

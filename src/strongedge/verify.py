@@ -1,17 +1,17 @@
 """Theorem verification over graph corpora, with machine-readable reports.
 
-The two theorems under test are universal statements: below a mad threshold,
-the strong chromatic index is at most a fixed bound (34/11 and 13 for
-degree-sum 7; 113/31 and 20 for degree-sum 8).  A run filters the corpus
-down to the graphs the hypothesis admits, computes the exact index of each,
-and additionally records two structural facts the argument predicts: at
-least one catalog configuration is present (unavoidability), and the
-discharge audit of any negative final charges.
+The two theorems under test are the universal statements that
+`classes.THEOREMS` tabulates: at most the cap in Ore degree and below the
+scheme's mad target, the strong chromatic index is at most the palette.  A
+run filters the corpus down to the graphs the hypothesis admits, computes
+the exact index of each, and additionally records two structural facts the
+argument predicts: at least one catalog configuration is present
+(unavoidability), and the discharge audit of any negative final charges.
 
 Graphs that exhaust their time budget are reported as timeouts, never as
 failures, and never abort the run.  Reports serialize to versioned JSON
-with rationals as {num, den}; a rerun on the same corpus differs at most
-in the wall-time field.
+with rationals as {num, den} (`_frac`, the package's one rational encoder);
+a rerun on the same corpus differs at most in the wall-time field.
 """
 
 from __future__ import annotations
@@ -24,18 +24,13 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-from .classes import Scheme, classify, scheme_target
+from .classes import THEOREMS, classify, scheme_target
 from .coloring import chi_s_exact
 from .discharge import apply_rules, audit_negative, builtin_ruleset, initial_charges
 # parse_graph6 is unused here, but bench/run.py traces it under this name
 from .graph import build_conflict_graph, is_connected, parse_graph6, to_graph6  # noqa: F401
 from .metrics import mad_exact, ore_degree
 from .patterns import find_configurations
-
-THEOREMS = {
-    1: (Scheme.THETA7, 7, 13),
-    2: (Scheme.THETA8, 8, 20),
-}
 
 SCHEMA = "strongedge-report/1"
 
@@ -113,8 +108,7 @@ def verify_theorem(which, corpus, budget=10.0, jobs=None, descriptor=""):
     """
     if which not in THEOREMS:
         raise ValueError(f"theorem must be 1 or 2, got {which!r}")
-    _, _, bound = THEOREMS[which]
-    scheme = THEOREMS[which][0]
+    scheme, _, bound = THEOREMS[which]
     start = time.monotonic()
 
     rejected = 0

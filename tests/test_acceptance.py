@@ -17,7 +17,7 @@ import pytest
 import oracles
 from conftest import random_graph
 from strongedge import Graph, enumerate_connected
-from strongedge.classes import Scheme, classify, scheme_target
+from strongedge.classes import THEOREMS, Scheme, classify, scheme_target
 from strongedge.coloring import (
     PartialColoring,
     SetFamily,
@@ -643,3 +643,19 @@ def test_criterion_10_reducibility_hosts():
     all_patterns |= {("theta8", p.id) for p in catalog(Scheme.THETA8)}
     assert covered == all_patterns
     assert verdicts["VACUOUS"] >= 2 and verdicts["EXTENDED"] >= 18
+
+
+def test_reducibility_hosts_replay_with_theorem_palette():
+    # every pattern is replayed with its scheme's theorem palette
+    palette = {scheme: k for scheme, _, k in THEOREMS.values()}
+    for scheme_name, pattern_id, builder, _ in REDUCIBILITY_HOSTS:
+        scheme = Scheme(scheme_name)
+        g = builder()
+        labels = classify(g, scheme).labels
+        m = next(
+            m
+            for m in find_configurations(g, scheme, labels)
+            if m.pattern_id == pattern_id
+        )
+        report = verify_reducibility(g, m, budget=60.0)
+        assert report.k == palette[scheme], f"{builder.__name__}/{pattern_id}"

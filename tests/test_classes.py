@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 import oracles
+import strongedge
 from strongedge import (
+    THEOREMS,
     ClassLabel,
     Graph,
     Scheme,
@@ -263,6 +265,13 @@ def test_classification_is_relabeling_invariant(corpus6, rng, scheme):
         got_h = classify(h, scheme)
         for v in range(g.n):
             assert got_h.labels[perm[v]] is got_g.labels[v]
+
+
+def test_theorem_table():
+    # theorem -> (scheme, Ore-degree cap, palette), held once
+    assert THEOREMS == {1: (Scheme.THETA7, 7, 13), 2: (Scheme.THETA8, 8, 20)}
+    assert strongedge.verify.THEOREMS is strongedge.classes.THEOREMS
+    assert strongedge.THEOREMS is strongedge.classes.THEOREMS
 
 
 def test_scheme_tables():

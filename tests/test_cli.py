@@ -234,13 +234,14 @@ def test_configs_requires_scheme(c5_edges):
 def test_discharge(capsys, c5_edges):
     code, doc = _json_out(capsys, ["discharge", c5_edges, "--scheme", "theta7"])
     assert code == 0
-    assert doc["target"] == "34/11"
-    assert doc["sum_initial"] == "-60/11" and doc["sum_final"] == "-60/11"
+    assert doc["target"] == {"num": 34, "den": 11}
+    assert doc["sum_initial"] == {"num": -60, "den": 11}
+    assert doc["sum_final"] == {"num": -60, "den": 11}
     assert doc["transfers"] == []
-    assert [v["initial"] for v in doc["vertices"]] == ["-12/11"] * 5
+    assert [v["initial"] for v in doc["vertices"]] == [{"num": -12, "den": 11}] * 5
     assert len(doc["negatives"]) == 5
     for neg in doc["negatives"]:
-        assert neg["final"] == "-12/11"
+        assert neg["final"] == {"num": -12, "den": 11}
         assert neg["patterns"] == ["deg2-bad-neighbor"]
 
 
@@ -267,7 +268,10 @@ def test_discharge_custom_rules(capsys, tmp_path):
         ["discharge", str(p), "--scheme", "theta7", "--rules", str(rules)],
     )
     assert code == 0 and len(doc["transfers"]) == 12
-    assert all(t["rule"] == "only" and t["amount"] == "1/11" for t in doc["transfers"])
+    assert all(
+        t["rule"] == "only" and t["amount"] == {"num": 1, "den": 11}
+        for t in doc["transfers"]
+    )
 
     rules.write_text(
         json.dumps(
@@ -280,6 +284,17 @@ def test_discharge_custom_rules(capsys, tmp_path):
         ["discharge", str(p), "--scheme", "theta7", "--rules", str(rules)],
     )
     assert code == 3 and "outside theta7" in err
+
+    # a JSON number too large for a float must not crash the command
+    rules.write_text(
+        '[{"id": "x", "sender": ["4"], "receiver": ["3A"], "amount": 1e400}]',
+        encoding="utf-8",
+    )
+    code, _, err = _run(
+        capsys,
+        ["discharge", str(p), "--scheme", "theta7", "--rules", str(rules)],
+    )
+    assert code == 3 and "amount must be a rational" in err
 
 
 def test_verify_builtin_corpus(capsys):
@@ -326,6 +341,19 @@ def test_verify_argument_errors(capsys, tmp_path):
     assert exc.value.code == 3
     code, _, err = _run(capsys, ["verify", "--theorem", "1", "--max-n", "0"])
     assert code == 3 and "--max-n" in err
+    # nan would never end a search and a negative budget times every graph
+    # out; fewer than one worker is no pool
+    for flag, value in (
+        ("--budget", "nan"),
+        ("--budget", "-1"),
+        ("--budget", "soon"),
+        ("--jobs", "0"),
+        ("--jobs", "-2"),
+        ("--jobs", "1.5"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--theorem", "1", "--max-n", "2", flag, value])
+        assert exc.value.code == 3
     bad = tmp_path / "bad.g6"
     bad.write_text("A_\nA\u00e9\n", encoding="utf-8")
     code, _, err = _run(capsys, ["verify", "--theorem", "1", "--corpus", str(bad)])

@@ -329,6 +329,12 @@ def test_load_ruleset_errors():
         _load(json.dumps([dict(ok, amount="1/0")]))
     with pytest.raises(ValueError, match="amount must be positive"):
         _load(json.dumps([dict(ok, amount="-1/2")]))
+    # JSON true, floats and an overflowing float are not exact rationals
+    for raw in ("true", "0.1", "1e400"):
+        text = json.dumps([dict(ok, amount=None)]).replace("null", raw)
+        with pytest.raises(ValueError, match="amount must be a rational"):
+            _load(text)
+    assert _load(json.dumps([dict(ok, amount=2)]))[0].amount == 2
     with pytest.raises(ValueError, match="unknown arity"):
         _load(json.dumps([dict(ok, arity="SOME")]))
     with pytest.raises(ValueError, match="outside theta7"):
