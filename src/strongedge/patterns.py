@@ -8,10 +8,10 @@ deduplicated up to the pattern's own symmetries.  Two things are
 computed once per pattern and cached, since they depend only on the
 pattern's value (slots, edges, nonedges), never on the host graph, and a
 `Pattern` is an immutable, hashable tuple: its symmetry group, and its
-search plan.  The plan orders the slots so that a slot with a pattern
-edge to an earlier slot is anchored there and draws its host candidates
-from the neighbors of the anchor's host; in every catalog pattern each
-slot after the first has an anchor.  The plan also carries the
+search plan.  The plan orders the slots so that each slot's host
+candidates are cut down to the neighbors of the hosts of the earlier
+slots it has a pattern edge to; in every catalog pattern each slot
+after the first has at least one such slot.  The plan also carries the
 pattern's symmetry-breaking conditions, host-order constraints
 host(i) < host(j) read off a stabilizer chain of the symmetry group
 (Grochow and Kellis, RECOMB 2007); each bounds the candidates of the
@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 from .classes import THEOREMS, THETA7_3C, THETA8_4C, ClassLabel, Scheme, classify
 from .coloring import PartialColoring, erase_and_extend, k_colorable
-from .graph import build_conflict_graph, delete_vertex
+from .graph import Graph, build_conflict_graph
 
 
 class PatternVertex(NamedTuple):
@@ -61,13 +61,16 @@ class Pattern(NamedTuple):
 class ConcreteRecipe(NamedTuple):
     """A recipe instantiated on one match: what to delete, erase, check.
 
-    The palette is not the recipe's: the replay takes its theorem's.
+    Only the deleted vertex is required; a recipe that erases nothing or
+    asserts no ceiling leaves those fields empty.  Edges are named by
+    their host endpoints.  The palette is not the recipe's: the replay
+    takes its theorem's.
     """
 
     delete: int  # host vertex to remove
-    erase: tuple  # host edges (vertex pairs) whose colors get erased
-    pre_bounds: tuple  # ((u, v), ceiling) before erasure
-    post_bounds: tuple  # ((u, v), ceiling) after erasure
+    erase: tuple = ()  # host edges (vertex pairs) whose colors get erased
+    pre_bounds: tuple = ()  # ((u, v), ceiling) before erasure
+    post_bounds: tuple = ()  # ((u, v), ceiling) after erasure
 
 
 class ConfigurationMatch(NamedTuple):
@@ -184,8 +187,7 @@ class _PlanStep(NamedTuple):
     """One slot of a search plan and its checks against earlier slots."""
 
     slot: int
-    anchor: object  # an earlier slot joined to this one by an edge, or None
-    adjacent: tuple  # the other earlier slots this one must be adjacent to
+    adjacent: tuple  # earlier slots this one must be adjacent to
     apart: tuple  # earlier slots this one must not be adjacent to
     above: tuple  # earlier slots whose hosts this one's must exceed
     below: tuple  # earlier slots whose hosts this one's must stay under
@@ -197,9 +199,9 @@ def _search_plan(pattern):
 
     Starts at slot 0 (the catalog lists a best-connected slot first), then
     repeatedly takes the unplaced slot with the most edges, then the most
-    nonedges, to placed slots, ties to the smallest index.  A slot with an
-    edge to a placed slot is anchored there: its host candidates are drawn
-    from the neighbors of the anchor's host.  Each symmetry condition is
+    nonedges, to placed slots, ties to the smallest index.  A slot's host
+    candidates are cut down to the common neighbors of the hosts of its
+    adjacent placed slots, in placement order.  Each symmetry condition is
     checked at the step that places the later of its two slots.
     """
     p = len(pattern.vertices)
@@ -226,12 +228,10 @@ def _search_plan(pattern):
                 i,
             ),
         )
-        tied = [j for j in order if j in adj[slot]]
         plan.append(
             _PlanStep(
                 slot,
-                tied[0] if tied else None,
-                tuple(tied[1:]),
+                tuple(j for j in order if j in adj[slot]),
                 tuple(j for j in order if j in non[slot]),
                 tuple(j for j in order if j in less[slot]),
                 tuple(j for j in order if slot in less[j]),
@@ -267,10 +267,8 @@ def _find_assignments(pattern, nbrs, groups):
         if d == p:
             out.append(tuple(assign))
             return
-        slot, anchor, adjacent, apart, above, below = plan[d]
+        slot, adjacent, apart, above, below = plan[d]
         pool = cand[slot]
-        if anchor is not None:
-            pool = pool & nbrs[assign[anchor]]
         for j in adjacent:
             pool = pool & nbrs[assign[j]]
         for j in apart:
@@ -324,17 +322,17 @@ def find_configurations(g, scheme, labels):
 def verify_reducibility(g, m, budget=10.0):
     """Replay a match's recipe; report the verdict and bound checks.
 
-    Flow: delete the recipe vertex v, decide k-colorability of g-v
-    exactly (UNSAT means the replay is VACUOUS: no coloring exists whose
-    extension could be tested; budget exhaustion means TIMEOUT), lift the
-    found coloring back to g, erase the recipe edges, and extend over the
-    edges at v.  Conflict ceilings are checked structurally: an edge's
-    pre count is how many edges of g-v it sees within g, its post count
-    additionally drops the erased edges.
+    Flow, in g's own edge ids throughout: drop the edges at the recipe
+    vertex v (v stays, isolated, so g-v keeps g's vertex ids), decide
+    k-colorability of g-v exactly (UNSAT means the replay is VACUOUS: no
+    coloring exists whose extension could be tested; budget exhaustion
+    means TIMEOUT), copy the found coloring onto the kept edges of g,
+    erase the recipe edges, and extend over the edges at v.  Conflict
+    ceilings are checked structurally: an edge's pre count is how many
+    edges it sees in g that avoid v, its post count additionally drops
+    the erased edges.
     """
     pattern = _pattern_by_id(m.pattern_id)
-    if pattern.recipe is None:
-        raise ValueError(f"pattern {pattern.id!r} has no recipe")
     labels = classify(g, pattern.scheme).labels
     mapping = dict(m.assignment)
     if not match_satisfies(g, pattern, labels, mapping):
@@ -344,39 +342,34 @@ def verify_reducibility(g, m, budget=10.0):
     v = recipe.delete
     cg = build_conflict_graph(g)
 
-    erase_ids = []
+    erase_ids = set()
     for u, w in recipe.erase:
         if v in (u, w):
             raise ValueError("erase edge touches the deleted vertex")
-        erase_ids.append(g.edge_id(u, w))
-    erase_set = set(erase_ids)
-
-    def survivors_seen(u, w):
-        eid = g.edge_id(u, w)
-        return [f for f in cg.sees[eid] if v not in g.endpoints(f)]
+        erase_ids.add(g.edge_id(u, w))
+    gone = set(g.incident_edges(v))
 
     bounds = []
-    for (u, w), ceiling in recipe.pre_bounds:
-        obs = len(survivors_seen(u, w))
-        bounds.append(
-            BoundCheck(
-                (min(u, w), max(u, w)), "pre", ceiling, obs, obs <= ceiling
+    for phase, ceilings, drop in (
+        ("pre", recipe.pre_bounds, gone),
+        ("post", recipe.post_bounds, gone | erase_ids),
+    ):
+        for (u, w), ceiling in ceilings:
+            obs = sum(1 for f in cg.sees[g.edge_id(u, w)] if f not in drop)
+            bounds.append(
+                BoundCheck(
+                    (min(u, w), max(u, w)), phase, ceiling, obs, obs <= ceiling
+                )
             )
-        )
-    for (u, w), ceiling in recipe.post_bounds:
-        obs = sum(1 for f in survivors_seen(u, w) if f not in erase_set)
-        bounds.append(
-            BoundCheck(
-                (min(u, w), max(u, w)), "post", ceiling, obs, obs <= ceiling
-            )
-        )
     bounds = tuple(bounds)
     bounds_ok = all(b.ok for b in bounds)
     erased_pairs = tuple((min(u, w), max(u, w)) for u, w in recipe.erase)
 
-    h, vmap = delete_vertex(g, v)
-    cg_h = build_conflict_graph(h)
-    solve = k_colorable(cg_h, k, time_budget=budget)
+    # g - v keeps v as an isolated vertex, so edge i of h is g's edge
+    # kept[i]: Graph sorts its edges and kept is a sorted subset of them.
+    kept = [e for e in range(g.m) if e not in gone]
+    h = Graph(g.n, [g.edges[e] for e in kept])
+    solve = k_colorable(build_conflict_graph(h), k, time_budget=budget)
     if solve.status in ("TIMEOUT", "UNSAT"):
         verdict = "TIMEOUT" if solve.status == "TIMEOUT" else "VACUOUS"
         return ReducibilityReport(
@@ -384,17 +377,15 @@ def verify_reducibility(g, m, budget=10.0):
             bounds, bounds_ok, solve.nodes, solve.time_ms, None, None,
         )
 
-    # Lift the coloring of g-v onto g's edge ids.  Seeing between two
-    # surviving edges is the same in g and g-v (a joining edge shares an
-    # endpoint with both, so it avoids v too), hence the lift is valid.
-    inv = {new: old for old, new in vmap.items()}
+    # Seeing between two kept edges is the same in g and h (a joining edge
+    # shares an endpoint with both, so it avoids v too), hence the coloring
+    # of h is a valid partial coloring of g.
     colors = [None] * g.m
-    for eid_h, (a, b) in enumerate(h.edges):
-        colors[g.edge_id(inv[a], inv[b])] = solve.coloring.colors[eid_h]
+    for e, c in zip(kept, solve.coloring.colors):
+        colors[e] = c
     partial = PartialColoring(k, colors)
-    targets = sorted(g.incident_edges(v))
 
-    outcome = erase_and_extend(cg, partial, erase_ids, targets)
+    outcome = erase_and_extend(cg, partial, erase_ids, sorted(gone))
     final = None
     if outcome.ok:
         final = tuple(
@@ -446,13 +437,9 @@ def _other_neighbors(g, v, exclude):
     return [u for u in g.neighbors(v) if u not in ex]
 
 
-def _generic(delete):
-    return ConcreteRecipe(delete, (), (), ())
-
-
 def _deletes(slot):
     """The recipe that deletes the host of `slot` and asserts no ceiling."""
-    return lambda g, labels, a: _generic(a[slot])
+    return lambda g, labels, a: ConcreteRecipe(a[slot])
 
 
 # -- theta7 recipes --------------------------------------------------------
@@ -467,7 +454,7 @@ def _r7_triangle(g, labels, a):
         b1, b2 = [v for v in hosts if v != x]
         (y,) = _other_neighbors(g, x, (b1, b2))
         pre = (((x, y), 12), ((x, b1), 9), ((x, b2), 9))
-        return ConcreteRecipe(x, (), pre, ())
+        return ConcreteRecipe(x, pre_bounds=pre)
     if len(four) == 1 and len(three) == 2:
         w = four[0]
         x, b = three
@@ -475,14 +462,14 @@ def _r7_triangle(g, labels, a):
         pre = (((x, z), 13), ((x, w), 11), ((x, b), 10), ((w, b), 10))
         post = (((x, z), 12), ((x, w), 10), ((x, b), 9), ((w, b), 10))
         return ConcreteRecipe(x, ((w, b),), pre, post)
-    return _generic(hosts[0])
+    return ConcreteRecipe(hosts[0])
 
 
 def _r7_four_cycle(g, labels, a):
     x1, x2, x4 = a["x1"], a["x2"], a["x4"]
     (y,) = _other_neighbors(g, x1, (x2, x4))
     pre = (((x1, y), 12), ((x1, x2), 10), ((x1, x4), 10))
-    return ConcreteRecipe(x1, (), pre, ())
+    return ConcreteRecipe(x1, pre_bounds=pre)
 
 
 def _r7_five_cycle(g, labels, a):
@@ -696,31 +683,31 @@ def _r8_deg_outside(g, labels, a):
     d = g.degree(x)
     if d == 1:
         (y,) = g.neighbors(x)
-        return ConcreteRecipe(x, (), (((x, y), 12),), ())
+        return ConcreteRecipe(x, pre_bounds=(((x, y), 12),))
     if d == 2:
         y1, y2 = g.neighbors(x)
-        return ConcreteRecipe(x, (), (((x, y1), 17), ((x, y2), 17)), ())
-    return _generic(x)
+        return ConcreteRecipe(x, pre_bounds=(((x, y1), 17), ((x, y2), 17)))
+    return ConcreteRecipe(x)
 
 
 def _r8_three_pair(g, labels, a):
     x, y, z = a["x"], a["y"], a["z"]
     (w,) = _other_neighbors(g, x, (y, z))
     pre = (((x, y), 17), ((x, z), 18), ((x, w), 17))
-    return ConcreteRecipe(x, (), pre, ())
+    return ConcreteRecipe(x, pre_bounds=pre)
 
 
 def _r8_four_deg3(g, labels, a):
     x = a["x"]
     ys = sorted(a[k] for k in ("y1", "y2", "y3", "y4"))
     pre = tuple(((x, y), 16) for y in ys)
-    return ConcreteRecipe(x, (), pre, ())
+    return ConcreteRecipe(x, pre_bounds=pre)
 
 
 def _r8_3d_support(g, labels, a):
     x, y1, y2, y3 = a["x"], a["y1"], a["y2"], a["y3"]
     pre = (((x, y1), 17), ((x, y2), 18), ((x, y3), 18))
-    return ConcreteRecipe(x, (), pre, ())
+    return ConcreteRecipe(x, pre_bounds=pre)
 
 
 def _r8_4d_bad(g, labels, a):
@@ -736,7 +723,7 @@ def _r8_4d_bad(g, labels, a):
         )
     else:
         pre = (((x, w), 16),) + tuple(((x, u), 17) for u in three_nbs)
-    return ConcreteRecipe(x, (), pre, ())
+    return ConcreteRecipe(x, pre_bounds=pre)
 
 
 def _r8_triangle_4c(g, labels, a):
@@ -745,14 +732,14 @@ def _r8_triangle_4c(g, labels, a):
     pre = (
         ((h1, h2), 13), ((h1, h3), 13), ((h1, y1), 17), ((h1, y2), 17)
     )
-    return ConcreteRecipe(h1, (), pre, ())
+    return ConcreteRecipe(h1, pre_bounds=pre)
 
 
 def _r8_four_cycle_4c(g, labels, a):
     x1, x2, x4 = a["x1"], a["x2"], a["x4"]
     (y,) = _other_neighbors(g, x1, (x2, x4))
     pre = (((x1, y), 18), ((x1, x2), 17), ((x1, x4), 17))
-    return ConcreteRecipe(x1, (), pre, ())
+    return ConcreteRecipe(x1, pre_bounds=pre)
 
 
 def _r8_4cweak(g, labels, a):

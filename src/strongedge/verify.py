@@ -106,7 +106,8 @@ def verify_theorem(which, corpus, budget=10.0, jobs=None, descriptor=""):
     or get a full record.  `jobs` sizes the worker pool; the default is
     the available parallelism, and the result does not depend on it.
     """
-    if which not in THEOREMS:
+    # bool and float keys equal to 1 or 2 pass a bare `in`, so check the type
+    if type(which) is not int or which not in THEOREMS:
         raise ValueError(f"theorem must be 1 or 2, got {which!r}")
     scheme, _, bound = THEOREMS[which]
     start = time.monotonic()

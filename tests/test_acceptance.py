@@ -24,9 +24,10 @@ from strongedge.coloring import (
     chi_s_exact,
     hall_sdr,
     is_valid_strong_coloring,
+    k_colorable,
 )
 from strongedge.discharge import apply_rules, builtin_ruleset, initial_charges
-from strongedge.graph import build_conflict_graph
+from strongedge.graph import build_conflict_graph, delete_vertex
 from strongedge.metrics import mad_bruteforce, mad_exact, ore_degree
 from strongedge.patterns import catalog, find_configurations, verify_reducibility
 from strongedge.verify import verify_theorem
@@ -659,3 +660,34 @@ def test_reducibility_hosts_replay_with_theorem_palette():
         )
         report = verify_reducibility(g, m, budget=60.0)
         assert report.k == palette[scheme], f"{builder.__name__}/{pattern_id}"
+
+
+def test_reducibility_lift_matches_independent_solve():
+    # the replay colors g - v in g's own edge ids; solving the compacted
+    # copy from delete_vertex and mapping its coloring back through the
+    # vertex map must give the same colors on every edge the extension
+    # leaves alone (those avoiding v and not erased)
+    lifted = 0
+    for scheme_name, pattern_id, builder, _ in REDUCIBILITY_HOSTS:
+        scheme = Scheme(scheme_name)
+        g = builder()
+        labels = classify(g, scheme).labels
+        m = next(
+            m
+            for m in find_configurations(g, scheme, labels)
+            if m.pattern_id == pattern_id
+        )
+        report = verify_reducibility(g, m, budget=60.0)
+        if report.verdict != "EXTENDED":
+            continue
+        h, vmap = delete_vertex(g, report.deleted)
+        solve = k_colorable(build_conflict_graph(h), report.k, time_budget=60.0)
+        assert solve.status == "SAT" and solve.nodes == report.nodes
+        inv = {new: old for old, new in vmap.items()}
+        final = dict(report.coloring)
+        for (a, b), c in zip(h.edges, solve.coloring.colors):
+            edge = (inv[a], inv[b])
+            if edge not in report.erased:
+                lifted += 1
+                assert final[edge] == c, f"{builder.__name__}/{pattern_id}"
+    assert lifted > 0

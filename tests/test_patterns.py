@@ -72,7 +72,7 @@ def test_catalog_shape():
         assert [p.id for p in pats] == ids
         for p in pats:
             assert p.scheme is scheme
-            assert p.vertices and p.recipe is not None
+            assert p.vertices and callable(p.recipe)
             names = {pv.name for pv in p.vertices}
             assert len(names) == len(p.vertices)
             for u, v in p.edges + p.nonedges:
@@ -196,15 +196,14 @@ def test_search_plans_follow_pattern_edges(rng):
         plan = _search_plan(pattern)
         names = [pv.name for pv in pattern.vertices]
         assert sorted(step.slot for step in plan) == list(range(len(names)))
-        assert plan[0].anchor is None
+        assert plan[0].adjacent == ()
         edges, nonedges = set(), set()
         for d, step in enumerate(plan):
             earlier = {s.slot for s in plan[:d]}
             if d:
-                assert step.anchor in earlier, pattern.id
-            tied = (step.anchor,) + step.adjacent if d else ()
-            assert set(tied) | set(step.apart) <= earlier
-            edges |= {frozenset((names[step.slot], names[j])) for j in tied}
+                assert step.adjacent, pattern.id
+            assert set(step.adjacent) | set(step.apart) <= earlier
+            edges |= {frozenset((names[step.slot], names[j])) for j in step.adjacent}
             nonedges |= {frozenset((names[step.slot], names[j])) for j in step.apart}
         # every pattern edge and nonedge is checked exactly where its
         # later slot is placed
@@ -221,7 +220,8 @@ def test_search_plans_follow_pattern_edges(rng):
 
 
 # the second slot has only a nonedge to the first, so its step has no
-# anchor and draws from all of its candidates; the third is anchored
+# adjacent slot and draws from all of its candidates; the third draws
+# from the neighbors of the second's host
 _APART = Pattern(
     "apart",
     Scheme.THETA7,
@@ -241,8 +241,8 @@ def test_matcher_without_anchor(rng, monkeypatch):
     plan = _search_plan(_APART)
     assert [step.slot for step in plan] == [0, 1, 2]
     step = plan[1]
-    assert (step.slot, step.anchor, step.adjacent, step.apart) == (1, None, (), (0,))
-    assert plan[2].anchor == 1
+    assert (step.slot, step.adjacent, step.apart) == (1, (), (0,))
+    assert plan[2].adjacent[0] == 1
     # no symmetry but the identity, so no step is bounded
     assert all(s.above == () and s.below == () for s in plan)
     monkeypatch.setattr(patterns_module, "catalog", lambda scheme: [_APART])

@@ -89,6 +89,12 @@ def test_empty_corpus():
 def test_theorem_number_is_validated():
     with pytest.raises(ValueError):
         verify_theorem(3, [])
+    # True and 1.0 hash and compare equal to 1, so they reach THEOREMS[1]
+    # unless the type itself is refused
+    k3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
+    for which in (True, 1.0, "1"):
+        with pytest.raises(ValueError):
+            verify_theorem(which, [k3], jobs=1)
 
 
 def _graphs_upto_5(corpus6):
