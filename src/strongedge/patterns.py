@@ -21,9 +21,12 @@ meets the others.  Per host, the vertex constraints are tested once per
 (degree, class label) signature.  Patterns also carry a replayable
 recipe: delete one host vertex, color what remains exactly with its
 theorem's palette (read from `classes.THEOREMS`), optionally erase a few
-edge colors, then extend the coloring back over the missing edges.
-`verify_reducibility` runs the recipe on a concrete match and compares
-the observed per-edge conflict counts with the catalog's ceilings.
+edge colors, then extend the coloring back over the missing edges.  A
+recipe is data over slot names, a tuple of `Case` values checked once
+when the catalog is built, and one interpreter, `_instantiate`, reads it
+on a concrete match.  `verify_reducibility` replays the result and
+compares the observed per-edge conflict counts with the recipe's
+ceilings.
 """
 
 from __future__ import annotations
@@ -55,7 +58,37 @@ class Pattern(NamedTuple):
     vertices: tuple
     edges: tuple  # pairs of slot names that must be adjacent
     nonedges: tuple  # pairs of slot names that must not be adjacent
-    recipe: object  # callable (g, labels, assignment dict) -> ConcreteRecipe
+    recipe: tuple  # Case values; the first whose `when` holds is replayed
+
+
+OUT = "*"  # the far end of a recipe edge that leaves the pattern
+
+
+class Case(NamedTuple):
+    """One case of a pattern's recipe, written over slot names.
+
+    A recipe is a tuple of cases.  A case holds on a match when every
+    (slot, want) pair of its `when` holds: `want` is a degree (an int)
+    or a class label that the slot's host must carry.  The first case
+    that holds is replayed, so the last case has no `when`.  Roles are
+    read from the placement as given: a recipe never sorts hosts, and
+    symmetric slots come in ascending host order from the matcher.
+
+    The case deletes the host of slot `delete` and erases the colors of
+    the pattern edges in `erase`.  Each row of `ceilings` is
+    (edge, pre) or (edge, pre, post): the most edges the named edge may
+    see once the deleted vertex is gone, and again once the erased edges
+    are uncolored; only cases that erase give a post ceiling.  An edge
+    is (slot, slot), a pattern edge, or (slot, OUT), which stands for
+    every host edge at the slot's host that no pattern edge at that slot
+    covers, in host neighbor order; its far end may be another slot's
+    host.  (slot, OUT, d) keeps those whose far end has degree d.
+    """
+
+    delete: str
+    erase: tuple = ()  # pattern edges, as slot pairs
+    ceilings: tuple = ()  # (edge, pre) or (edge, pre, post) rows
+    when: tuple = ()  # (slot, degree or ClassLabel) pairs
 
 
 class ConcreteRecipe(NamedTuple):
@@ -319,34 +352,66 @@ def find_configurations(g, scheme, labels):
     return matches
 
 
+def _instantiate(pattern, g, labels, a):
+    """The first case of the pattern's recipe that holds, on host vertices.
+
+    `a` maps slot names to host vertices.  Each ceiling row expands to
+    one (host edge, ceiling) pair per host edge it names.
+    """
+
+    def holds(slot, want):
+        if isinstance(want, ClassLabel):
+            return labels.get(a[slot], ClassLabel.UNCLASSIFIED) == want
+        return g.degree(a[slot]) == want
+
+    case = next(
+        c for c in pattern.recipe if all(holds(s, w) for s, w in c.when)
+    )
+
+    def host_edges(slot, far, degree=None):
+        x = a[slot]
+        if far != OUT:
+            return [(x, a[far])]
+        covered = {a[u] for e in pattern.edges if slot in e for u in e}
+        return [
+            (x, y) for y in g.neighbors(x)
+            if y not in covered and degree in (None, g.degree(y))
+        ]
+
+    pre, post = [], []
+    for edge, ceiling, *after in case.ceilings:
+        for e in host_edges(*edge):
+            pre.append((e, ceiling))
+            post += [(e, c) for c in after]
+    erase = tuple((a[u], a[v]) for u, v in case.erase)
+    return ConcreteRecipe(a[case.delete], erase, tuple(pre), tuple(post))
+
+
 def verify_reducibility(g, m, budget=10.0):
     """Replay a match's recipe; report the verdict and bound checks.
 
-    Flow, in g's own edge ids throughout: drop the edges at the recipe
-    vertex v (v stays, isolated, so g-v keeps g's vertex ids), decide
-    k-colorability of g-v exactly (UNSAT means the replay is VACUOUS: no
-    coloring exists whose extension could be tested; budget exhaustion
-    means TIMEOUT), copy the found coloring onto the kept edges of g,
-    erase the recipe edges, and extend over the edges at v.  Conflict
-    ceilings are checked structurally: an edge's pre count is how many
-    edges it sees in g that avoid v, its post count additionally drops
-    the erased edges.
+    The recipe's case and roles are read from the match's assignment as
+    given.  Flow, in g's own edge ids throughout: drop the edges at the
+    recipe vertex v (v stays, isolated, so g-v keeps g's vertex ids),
+    decide k-colorability of g-v exactly (UNSAT means the replay is
+    VACUOUS: no coloring exists whose extension could be tested; budget
+    exhaustion means TIMEOUT), copy the found coloring onto the kept
+    edges of g, erase the recipe edges, and extend over the edges at v.
+    Conflict ceilings are checked structurally: an edge's pre count is
+    how many edges it sees in g that avoid v, its post count
+    additionally drops the erased edges.
     """
     pattern = _pattern_by_id(m.pattern_id)
     labels = classify(g, pattern.scheme).labels
     mapping = dict(m.assignment)
     if not match_satisfies(g, pattern, labels, mapping):
         raise ValueError(f"match of {pattern.id!r} does not hold in this graph")
-    recipe = pattern.recipe(g, labels, mapping)
+    recipe = _instantiate(pattern, g, labels, mapping)
     k = _PALETTE[pattern.scheme]
     v = recipe.delete
     cg = build_conflict_graph(g)
 
-    erase_ids = set()
-    for u, w in recipe.erase:
-        if v in (u, w):
-            raise ValueError("erase edge touches the deleted vertex")
-        erase_ids.add(g.edge_id(u, w))
+    erase_ids = {g.edge_id(u, w) for u, w in recipe.erase}
     gone = set(g.incident_edges(v))
 
     bounds = []
@@ -426,97 +491,25 @@ def _pattern(pid, scheme, description, vertices, edges, nonedges, recipe):
         if key in seen:
             raise ValueError(f"{pid}: repeated slot pair {(u, v)}")
         seen.add(key)
+    pattern_edges = {frozenset(e) for e in edges}
+    if not recipe or recipe[-1].when:
+        raise ValueError(f"{pid}: the last recipe case must have no `when`")
+    for case in recipe:
+        named = {case.delete} | {slot for slot, _ in case.when}
+        named |= {edge[0] for edge, *_ in case.ceilings}
+        if not known.issuperset(named):
+            raise ValueError(f"{pid}: recipe names an unknown slot")
+        for u, v in case.erase:
+            if case.delete in (u, v):
+                raise ValueError(f"{pid}: erase pair {(u, v)} is deleted")
+        pairs = [e[:2] for e, *_ in case.ceilings if e[1] != OUT]
+        for u, v in tuple(case.erase) + tuple(pairs):
+            if frozenset((u, v)) not in pattern_edges:
+                raise ValueError(f"{pid}: {(u, v)} is not a pattern edge")
     return Pattern(
         pid, scheme, description, tuple(vertices), tuple(edges),
         tuple(nonedges), recipe,
     )
-
-
-def _other_neighbors(g, v, exclude):
-    ex = set(exclude)
-    return [u for u in g.neighbors(v) if u not in ex]
-
-
-def _deletes(slot):
-    """The recipe that deletes the host of `slot` and asserts no ceiling."""
-    return lambda g, labels, a: ConcreteRecipe(a[slot])
-
-
-# -- theta7 recipes --------------------------------------------------------
-
-
-def _r7_triangle(g, labels, a):
-    hosts = sorted(a.values())
-    three = [v for v in hosts if g.degree(v) == 3]
-    four = [v for v in hosts if g.degree(v) == 4]
-    if len(three) == 3:
-        x = three[0]
-        b1, b2 = [v for v in hosts if v != x]
-        (y,) = _other_neighbors(g, x, (b1, b2))
-        pre = (((x, y), 12), ((x, b1), 9), ((x, b2), 9))
-        return ConcreteRecipe(x, pre_bounds=pre)
-    if len(four) == 1 and len(three) == 2:
-        w = four[0]
-        x, b = three
-        (z,) = _other_neighbors(g, x, (w, b))
-        pre = (((x, z), 13), ((x, w), 11), ((x, b), 10), ((w, b), 10))
-        post = (((x, z), 12), ((x, w), 10), ((x, b), 9), ((w, b), 10))
-        return ConcreteRecipe(x, ((w, b),), pre, post)
-    return ConcreteRecipe(hosts[0])
-
-
-def _r7_four_cycle(g, labels, a):
-    x1, x2, x4 = a["x1"], a["x2"], a["x4"]
-    (y,) = _other_neighbors(g, x1, (x2, x4))
-    pre = (((x1, y), 12), ((x1, x2), 10), ((x1, x4), 10))
-    return ConcreteRecipe(x1, pre_bounds=pre)
-
-
-def _r7_five_cycle(g, labels, a):
-    x1, x2, x3, x4, x5, y = (
-        a[k] for k in ("x1", "x2", "x3", "x4", "x5", "y")
-    )
-    pre = (((x1, y), 12), ((x1, x2), 11), ((x1, x5), 11), ((x3, x4), 10))
-    post = (((x1, y), 12), ((x1, x2), 10), ((x1, x5), 10), ((x3, x4), 10))
-    return ConcreteRecipe(x1, ((x3, x4),), pre, post)
-
-
-def _r7_pan(g, labels, a):
-    x1, x2, x3, x4, x5, y = (
-        a[k] for k in ("x1", "x2", "x3", "x4", "x5", "y")
-    )
-    pre = (((x1, y), 11), ((x1, x2), 11), ((x1, x5), 11), ((x3, x4), 11))
-    post = (((x1, y), 11), ((x1, x2), 10), ((x1, x5), 10), ((x3, x4), 11))
-    return ConcreteRecipe(x1, ((x3, x4),), pre, post)
-
-
-def _r7_two_weak(g, labels, a):
-    x, y1, y2, z1, z2 = (a[k] for k in ("x", "y1", "y2", "z1", "z2"))
-    (w,) = _other_neighbors(g, x, (y1, y2))
-    pre = (
-        ((x, y1), 11), ((x, y2), 11), ((x, w), 12),
-        ((y1, z1), 10), ((y2, z2), 10),
-    )
-    post = (
-        ((x, y1), 9), ((x, y2), 9), ((x, w), 10),
-        ((y1, z1), 10), ((y2, z2), 10),
-    )
-    return ConcreteRecipe(x, ((y1, z1), (y2, z2)), pre, post)
-
-
-def _r7_weak_moderate(g, labels, a):
-    x, y1, y2, y3, z1, z2 = (
-        a[k] for k in ("x", "y1", "y2", "y3", "z1", "z2")
-    )
-    pre = (
-        ((x, y1), 11), ((x, y2), 11), ((x, y3), 11),
-        ((y1, z1), 10), ((y2, z2), 11),
-    )
-    post = (
-        ((x, y1), 9), ((x, y2), 9), ((x, y3), 9),
-        ((y1, z1), 10), ((y2, z2), 11),
-    )
-    return ConcreteRecipe(x, ((y1, z1), (y2, z2)), pre, post)
 
 
 _THETA7_PATTERNS = (
@@ -527,7 +520,7 @@ _THETA7_PATTERNS = (
         (PatternVertex("x", degree_in=frozenset({1, 5, 6})),),
         (),
         (),
-        _deletes("x"),
+        (Case("x"),),
     ),
     _pattern(
         "deg2-bad-neighbor",
@@ -539,7 +532,7 @@ _THETA7_PATTERNS = (
         ),
         (("u", "z"),),
         (),
-        _deletes("u"),
+        (Case("u"),),
     ),
     _pattern(
         "deg3d-pair-low-support",
@@ -554,7 +547,7 @@ _THETA7_PATTERNS = (
         ),
         (("x", "y"), ("x", "u")),
         (),
-        _deletes("x"),
+        (Case("x"),),
     ),
     _pattern(
         "deg4-two-deg2",
@@ -567,7 +560,7 @@ _THETA7_PATTERNS = (
         ),
         (("x", "u1"), ("x", "u2")),
         (),
-        _deletes("x"),
+        (Case("x"),),
     ),
     _pattern(
         "triangle",
@@ -580,7 +573,25 @@ _THETA7_PATTERNS = (
         ),
         (("x1", "x2"), ("x1", "x3"), ("x2", "x3")),
         (),
-        _r7_triangle,
+        (
+            Case("x1", ceilings=(
+                (("x1", OUT), 12), (("x1", "x2"), 9), (("x1", "x3"), 9),
+            ), when=(("x1", 3), ("x2", 3), ("x3", 3))),
+            # a 4-vertex w and 3-vertices x < b: delete x, erase wb
+            Case("x2", (("x1", "x3"),), (
+                (("x2", OUT), 13, 12), (("x2", "x1"), 11, 10),
+                (("x2", "x3"), 10, 9), (("x1", "x3"), 10, 10),
+            ), (("x1", 4), ("x2", 3), ("x3", 3))),
+            Case("x1", (("x2", "x3"),), (
+                (("x1", OUT), 13, 12), (("x1", "x2"), 11, 10),
+                (("x1", "x3"), 10, 9), (("x2", "x3"), 10, 10),
+            ), (("x1", 3), ("x2", 4), ("x3", 3))),
+            Case("x1", (("x3", "x2"),), (
+                (("x1", OUT), 13, 12), (("x1", "x3"), 11, 10),
+                (("x1", "x2"), 10, 9), (("x3", "x2"), 10, 10),
+            ), (("x1", 3), ("x2", 3), ("x3", 4))),
+            Case("x1"),
+        ),
     ),
     _pattern(
         "four-cycle-3d",
@@ -594,7 +605,9 @@ _THETA7_PATTERNS = (
         ),
         (("x1", "x2"), ("x2", "x3"), ("x3", "x4"), ("x4", "x1")),
         (("x1", "x3"),),
-        _r7_four_cycle,
+        (Case("x1", ceilings=(
+            (("x1", OUT), 12), (("x1", "x2"), 10), (("x1", "x4"), 10),
+        )),),
     ),
     _pattern(
         "five-cycle-3d",
@@ -614,7 +627,10 @@ _THETA7_PATTERNS = (
             ("x5", "x1"), ("x1", "y"),
         ),
         (("y", "x3"), ("y", "x4")),
-        _r7_five_cycle,
+        (Case("x1", (("x3", "x4"),), (
+            (("x1", "y"), 12, 12), (("x1", "x2"), 11, 10),
+            (("x1", "x5"), 11, 10), (("x3", "x4"), 10, 10),
+        )),),
     ),
     _pattern(
         "pan-3d",
@@ -634,7 +650,10 @@ _THETA7_PATTERNS = (
             ("x5", "x1"), ("x1", "y"),
         ),
         (("y", "x3"), ("y", "x4")),
-        _r7_pan,
+        (Case("x1", (("x3", "x4"),), (
+            (("x1", "y"), 11, 11), (("x1", "x2"), 11, 10),
+            (("x1", "x5"), 11, 10), (("x3", "x4"), 11, 11),
+        )),),
     ),
     _pattern(
         "deg3d-two-weak",
@@ -650,7 +669,10 @@ _THETA7_PATTERNS = (
         ),
         (("x", "y1"), ("x", "y2"), ("y1", "z1"), ("y2", "z2")),
         (("y1", "y2"), ("y1", "z2"), ("z1", "y2"), ("z1", "z2")),
-        _r7_two_weak,
+        (Case("x", (("y1", "z1"), ("y2", "z2")), (
+            (("x", "y1"), 11, 9), (("x", "y2"), 11, 9), (("x", OUT), 12, 10),
+            (("y1", "z1"), 10, 10), (("y2", "z2"), 10, 10),
+        )),),
     ),
     _pattern(
         "deg3d-weak-moderate",
@@ -670,107 +692,12 @@ _THETA7_PATTERNS = (
         ),
         (("x", "y1"), ("x", "y2"), ("x", "y3"), ("y1", "z1"), ("y2", "z2")),
         (("y1", "y2"), ("y1", "z2"), ("z1", "y2"), ("z1", "z2")),
-        _r7_weak_moderate,
+        (Case("x", (("y1", "z1"), ("y2", "z2")), (
+            (("x", "y1"), 11, 9), (("x", "y2"), 11, 9), (("x", "y3"), 11, 9),
+            (("y1", "z1"), 10, 10), (("y2", "z2"), 11, 11),
+        )),),
     ),
 )
-
-
-# -- theta8 recipes --------------------------------------------------------
-
-
-def _r8_deg_outside(g, labels, a):
-    x = a["x"]
-    d = g.degree(x)
-    if d == 1:
-        (y,) = g.neighbors(x)
-        return ConcreteRecipe(x, pre_bounds=(((x, y), 12),))
-    if d == 2:
-        y1, y2 = g.neighbors(x)
-        return ConcreteRecipe(x, pre_bounds=(((x, y1), 17), ((x, y2), 17)))
-    return ConcreteRecipe(x)
-
-
-def _r8_three_pair(g, labels, a):
-    x, y, z = a["x"], a["y"], a["z"]
-    (w,) = _other_neighbors(g, x, (y, z))
-    pre = (((x, y), 17), ((x, z), 18), ((x, w), 17))
-    return ConcreteRecipe(x, pre_bounds=pre)
-
-
-def _r8_four_deg3(g, labels, a):
-    x = a["x"]
-    ys = sorted(a[k] for k in ("y1", "y2", "y3", "y4"))
-    pre = tuple(((x, y), 16) for y in ys)
-    return ConcreteRecipe(x, pre_bounds=pre)
-
-
-def _r8_3d_support(g, labels, a):
-    x, y1, y2, y3 = a["x"], a["y1"], a["y2"], a["y3"]
-    pre = (((x, y1), 17), ((x, y2), 18), ((x, y3), 18))
-    return ConcreteRecipe(x, pre_bounds=pre)
-
-
-def _r8_4d_bad(g, labels, a):
-    x, w = a["x"], a["w"]
-    three_nbs = [u for u in g.neighbors(x) if g.degree(u) == 3]
-    four_nbs = [u for u in g.neighbors(x) if g.degree(u) == 4]
-    # A 4D label guarantees one 4-neighbor and three 3-neighbors.
-    if labels.get(w) == L.DEG3C:
-        rest = [u for u in three_nbs if u != w]
-        pre = (
-            ((x, w), 16), ((x, four_nbs[0]), 18),
-            ((x, rest[0]), 17), ((x, rest[1]), 17),
-        )
-    else:
-        pre = (((x, w), 16),) + tuple(((x, u), 17) for u in three_nbs)
-    return ConcreteRecipe(x, pre_bounds=pre)
-
-
-def _r8_triangle_4c(g, labels, a):
-    h1, h2, h3 = sorted(a.values())
-    y1, y2 = _other_neighbors(g, h1, (h2, h3))
-    pre = (
-        ((h1, h2), 13), ((h1, h3), 13), ((h1, y1), 17), ((h1, y2), 17)
-    )
-    return ConcreteRecipe(h1, pre_bounds=pre)
-
-
-def _r8_four_cycle_4c(g, labels, a):
-    x1, x2, x4 = a["x1"], a["x2"], a["x4"]
-    (y,) = _other_neighbors(g, x1, (x2, x4))
-    pre = (((x1, y), 18), ((x1, x2), 17), ((x1, x4), 17))
-    return ConcreteRecipe(x1, pre_bounds=pre)
-
-
-def _r8_4cweak(g, labels, a):
-    x, y1, y2, z1, z2, w1, w2 = (
-        a[k] for k in ("x", "y1", "y2", "z1", "z2", "w1", "w2")
-    )
-    pre = (
-        ((x, y1), 17), ((x, y2), 17), ((x, z1), 17), ((x, z2), 17),
-        ((z1, w1), 17), ((z2, w2), 17),
-    )
-    post = (
-        ((x, y1), 15), ((x, y2), 15), ((x, z1), 15), ((x, z2), 15),
-        ((z1, w1), 17), ((z2, w2), 17),
-    )
-    return ConcreteRecipe(x, ((z1, w1), (z2, w2)), pre, post)
-
-
-def _r8_5v_bweak(g, labels, a):
-    x, y1, y2, z1, z2 = (a[k] for k in ("x", "y1", "y2", "z1", "z2"))
-    others = _other_neighbors(g, x, (y1, y2))
-    pre = (
-        (((x, y1), 16), ((x, y2), 16))
-        + tuple(((x, u), 18) for u in others)
-        + (((y1, z1), 15), ((y2, z2), 15))
-    )
-    post = (
-        (((x, y1), 14), ((x, y2), 14))
-        + tuple(((x, u), 16) for u in others)
-        + (((y1, z1), 15), ((y2, z2), 15))
-    )
-    return ConcreteRecipe(x, ((y1, z1), (y2, z2)), pre, post)
 
 
 _THETA8_PATTERNS = (
@@ -781,7 +708,11 @@ _THETA8_PATTERNS = (
         (PatternVertex("x", degree_in=frozenset({1, 2, 6, 7})),),
         (),
         (),
-        _r8_deg_outside,
+        (
+            Case("x", ceilings=((("x", OUT), 12),), when=(("x", 1),)),
+            Case("x", ceilings=((("x", OUT), 17),), when=(("x", 2),)),
+            Case("x"),
+        ),
     ),
     _pattern(
         "deg3-pair-missing-deg5",
@@ -794,7 +725,9 @@ _THETA8_PATTERNS = (
         ),
         (("x", "y"), ("x", "z")),
         (),
-        _r8_three_pair,
+        (Case("x", ceilings=(
+            (("x", "y"), 17), (("x", "z"), 18), (("x", OUT), 17),
+        )),),
     ),
     _pattern(
         "deg4-four-deg3",
@@ -809,7 +742,10 @@ _THETA8_PATTERNS = (
         ),
         (("x", "y1"), ("x", "y2"), ("x", "y3"), ("x", "y4")),
         (),
-        _r8_four_deg3,
+        (Case("x", ceilings=(
+            (("x", "y1"), 16), (("x", "y2"), 16),
+            (("x", "y3"), 16), (("x", "y4"), 16),
+        )),),
     ),
     _pattern(
         "deg3d-non-b-support",
@@ -825,7 +761,9 @@ _THETA8_PATTERNS = (
         ),
         (("x", "y1"), ("x", "y2"), ("x", "y3")),
         (),
-        _r8_3d_support,
+        (Case("x", ceilings=(
+            (("x", "y1"), 17), (("x", "y2"), 18), (("x", "y3"), 18),
+        )),),
     ),
     _pattern(
         "deg4d-bad-neighbor",
@@ -837,7 +775,12 @@ _THETA8_PATTERNS = (
         ),
         (("x", "w"),),
         (),
-        _r8_4d_bad,
+        (  # a 4D-vertex has one 4-neighbor and three 3-neighbors
+            Case("x", ceilings=(
+                (("x", "w"), 16), (("x", OUT, 4), 18), (("x", OUT, 3), 17),
+            ), when=(("w", L.DEG3C),)),
+            Case("x", ceilings=((("x", "w"), 16), (("x", OUT, 3), 17))),
+        ),
     ),
     _pattern(
         "triangle-4c",
@@ -850,7 +793,9 @@ _THETA8_PATTERNS = (
         ),
         (("x1", "x2"), ("x1", "x3"), ("x2", "x3")),
         (),
-        _r8_triangle_4c,
+        (Case("x1", ceilings=(
+            (("x1", "x2"), 13), (("x1", "x3"), 13), (("x1", OUT), 17),
+        )),),
     ),
     _pattern(
         "triangle-deg3",
@@ -863,7 +808,7 @@ _THETA8_PATTERNS = (
         ),
         (("x1", "x2"), ("x1", "x3"), ("x2", "x3")),
         (),
-        _deletes("x1"),
+        (Case("x1"),),
     ),
     _pattern(
         "four-cycle-4c",
@@ -878,7 +823,9 @@ _THETA8_PATTERNS = (
         ),
         (("x1", "x2"), ("x2", "x3"), ("x3", "x4"), ("x4", "x1")),
         (("x1", "x3"),),
-        _r8_four_cycle_4c,
+        (Case("x1", ceilings=(
+            (("x1", OUT), 18), (("x1", "x2"), 17), (("x1", "x4"), 17),
+        )),),
     ),
     _pattern(
         "deg4cweak-two-4c",
@@ -899,7 +846,11 @@ _THETA8_PATTERNS = (
             ("z1", "w1"), ("z2", "w2"),
         ),
         (("z1", "z2"), ("z1", "w2"), ("z2", "w1"), ("w1", "w2")),
-        _r8_4cweak,
+        (Case("x", (("z1", "w1"), ("z2", "w2")), (
+            (("x", "y1"), 17, 15), (("x", "y2"), 17, 15),
+            (("x", "z1"), 17, 15), (("x", "z2"), 17, 15),
+            (("z1", "w1"), 17, 17), (("z2", "w2"), 17, 17),
+        )),),
     ),
     _pattern(
         "deg5-two-bweak",
@@ -915,7 +866,10 @@ _THETA8_PATTERNS = (
         ),
         (("x", "y1"), ("x", "y2"), ("y1", "z1"), ("y2", "z2")),
         (("y1", "y2"), ("y1", "z2"), ("y2", "z1"), ("z1", "z2")),
-        _r8_5v_bweak,
+        (Case("x", (("y1", "z1"), ("y2", "z2")), (
+            (("x", "y1"), 16, 14), (("x", "y2"), 16, 14), (("x", OUT), 18, 16),
+            (("y1", "z1"), 15, 15), (("y2", "z2"), 15, 15),
+        )),),
     ),
 )
 

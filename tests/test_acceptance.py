@@ -6,6 +6,8 @@ cross-checked against independent brute force, colorings and certificates
 are re-validated from scratch, and charge arithmetic is exact rationals.
 """
 
+import hashlib
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -691,3 +693,27 @@ def test_reducibility_lift_matches_independent_solve():
                 lifted += 1
                 assert final[edge] == c, f"{builder.__name__}/{pattern_id}"
     assert lifted > 0
+
+
+# sha256 of the recipe rows below, taken before the recipes became data
+RECIPE_COUNT = 3436
+RECIPE_DIGEST = "25f90fd71d21b1232123baa1e6e983cce69beedd9c5bfa449153ffe1b2e779aa"
+
+
+def test_recipe_instantiations_pinned(corpus6):
+    # what each recipe deletes, erases and asserts, on every match of the
+    # connected graphs with n <= 6 under both schemes, of the criterion-10
+    # hosts, and of the stars whose centers have degree 6 and 7
+    hosts = [(s, g) for g in corpus6 for s in Scheme]
+    hosts += [(s, Graph(*oracles.star(k))) for k in (6, 7) for s in Scheme]
+    built = {}
+    for scheme_name, _, builder, _ in REDUCIBILITY_HOSTS:
+        built.setdefault((scheme_name, builder), builder())
+    hosts += [(Scheme(name), g) for (name, _), g in built.items()]
+    rows = []
+    for scheme, g in hosts:
+        for m in find_configurations(g, scheme, classify(g, scheme).labels):
+            r = verify_reducibility(g, m, budget=60.0)
+            rows.append([r.pattern_id, m.assignment, r.deleted, r.erased, r.bounds])
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert (len(rows), digest) == (RECIPE_COUNT, RECIPE_DIGEST)

@@ -18,12 +18,16 @@ from strongedge import (
     find_configurations,
     is_valid_strong_coloring,
     match_satisfies,
+    parse_graph6,
     verify_reducibility,
 )
 from strongedge import patterns as patterns_module
 from strongedge.patterns import (
+    OUT,
+    Case,
     Pattern,
     PatternVertex,
+    _pattern,
     _pattern_automorphisms,
     _search_plan,
     _symmetry_conditions,
@@ -72,13 +76,44 @@ def test_catalog_shape():
         assert [p.id for p in pats] == ids
         for p in pats:
             assert p.scheme is scheme
-            assert p.vertices and callable(p.recipe)
+            assert p.vertices
+            assert isinstance(p.recipe, tuple) and p.recipe
+            assert all(isinstance(case, Case) for case in p.recipe)
             names = {pv.name for pv in p.vertices}
             assert len(names) == len(p.vertices)
             for u, v in p.edges + p.nonedges:
                 assert u in names and v in names and u != v
     with pytest.raises(ValueError):
         catalog("theta9")
+
+
+_PATH = (PatternVertex("x"), PatternVertex("y"), PatternVertex("z"))
+_PATH_EDGES = (("x", "y"), ("y", "z"))
+
+
+@pytest.mark.parametrize(
+    "recipe, reason",
+    [
+        ((Case("w"),), "unknown slot"),
+        ((Case("x", ceilings=((("w", OUT), 9),)),), "unknown slot"),
+        ((Case("x", when=(("w", 3),)), Case("x")), "unknown slot"),
+        ((Case("y", (("x", "z"),)),), "not a pattern edge"),
+        ((Case("x", ceilings=((("x", "z"), 9),)),), "not a pattern edge"),
+        ((Case("x", (("x", "y"),)),), "is deleted"),
+        ((Case("x", when=(("x", 3),)),), "last recipe case"),
+        ((), "last recipe case"),
+    ],
+    ids=[
+        "unknown-delete", "unknown-ceiling-slot", "unknown-when-slot",
+        "erase-non-edge", "ceiling-non-edge", "erase-at-deleted",
+        "last-case-has-when", "no-case",
+    ],
+)
+def test_pattern_rejects_bad_recipe(recipe, reason):
+    with pytest.raises(ValueError, match=reason):
+        _pattern("bad", Scheme.THETA8, "", _PATH, _PATH_EDGES, (), recipe)
+    good = (Case("x", (("y", "z"),), ((("x", OUT), 9, 8),)),)
+    assert _pattern("ok", Scheme.THETA8, "", _PATH, _PATH_EDGES, (), good)
 
 
 def _satisfies_local(g, pattern, labels, mapping):
@@ -469,6 +504,20 @@ def test_replay_bound_checks_recomputed():
                 survivors -= erased
             assert b.observed == len(survivors)
             assert b.ok == (b.observed <= b.asserted)
+
+
+def test_out_edges_may_reach_matched_slots():
+    # OUT at x is every host edge at x's host that no pattern edge at x
+    # covers: here z1 and z2 are matched slots adjacent to x's host, and
+    # their edges to it get the outside ceilings
+    g = parse_graph6("Eu}g")
+    m = _first_match(g, Scheme.THETA8, "deg5-two-bweak")
+    assert m.assignment == (("x", 0), ("y1", 1), ("y2", 2), ("z1", 3), ("z2", 5))
+    rep = verify_reducibility(g, m)
+    assert rep.erased == ((1, 3), (2, 5))
+    ceilings = {(b.edge, b.phase): b.asserted for b in rep.bounds}
+    for edge in ((0, 3), (0, 4), (0, 5)):
+        assert ceilings[edge, "pre"] == 18 and ceilings[edge, "post"] == 16
 
 
 def test_replay_rejects_tampered_match():
