@@ -31,10 +31,13 @@ class Graph:
 
     Vertices are the integers ``0..n-1``.  Edges are normalized to pairs
     ``(u, v)`` with ``u < v`` and sorted lexicographically; the position of
-    a pair in :attr:`edges` is its edge id.
+    a pair in :attr:`edges` is its edge id.  The graph6 encoding is kept
+    once known: :func:`parse_graph6` stores the record it decoded and
+    :func:`to_graph6` the string it built, so a graph is encoded at most
+    once.  Equality and hashing ignore it; a pickled graph carries it.
     """
 
-    __slots__ = ("_n", "_edges", "_adj", "_edge_index", "_incident")
+    __slots__ = ("_n", "_edges", "_adj", "_edge_index", "_incident", "_graph6")
 
     def __init__(self, n, edges):
         if n < 0:
@@ -62,6 +65,7 @@ class Graph:
         self._adj = tuple(tuple(sorted(a)) for a in adj)
         self._incident = tuple(tuple(a) for a in incident)
         self._edge_index = {e: i for i, e in enumerate(self._edges)}
+        self._graph6 = None
 
     @property
     def n(self):
@@ -225,7 +229,9 @@ def parse_graph6(line):
 
     Raises :class:`Graph6Error` with the offending byte offset on malformed
     input: bad length field, characters outside the printable range
-    63..126, truncation, trailing bytes, or nonzero padding bits.
+    63..126, truncation, trailing bytes, or nonzero padding bits.  Those
+    checks leave exactly one valid record per graph, so the graph keeps
+    the record as its graph6 encoding.
     """
     if isinstance(line, bytes):
         data = line
@@ -272,11 +278,19 @@ def parse_graph6(line):
     for j in range(k, len(bits)):
         if bits[j]:
             raise Graph6Error("nonzero padding bits", 1 + j // 6)
-    return Graph(n, edges)
+    g = Graph(n, edges)
+    g._graph6 = data.decode("ascii")
+    return g
 
 
 def to_graph6(g):
-    """Encode g in short-form graph6 (requires n ≤ 62)."""
+    """Encode g in short-form graph6 (requires n ≤ 62).
+
+    The encoding is stored on g (a :class:`Graph` is immutable), so later
+    calls, and graphs read by :func:`parse_graph6`, return it at once.
+    """
+    if g._graph6 is not None:
+        return g._graph6
     n = g.n
     if n > 62:
         raise ValueError(f"short-form graph6 requires n <= 62, got {n}")
@@ -292,7 +306,8 @@ def to_graph6(g):
         for b in bits[i : i + 6]:
             val = (val << 1) | b
         out.append(chr(val + 63))
-    return "".join(out)
+    g._graph6 = "".join(out)
+    return g._graph6
 
 
 def parse_edge_list(text):

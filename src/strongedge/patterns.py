@@ -387,6 +387,17 @@ def _instantiate(pattern, g, labels, a):
     return ConcreteRecipe(a[case.delete], erase, tuple(pre), tuple(post))
 
 
+@functools.lru_cache(maxsize=1)
+def _host_tables(g, scheme):
+    """g's labels and conflict graph, kept for the last host only.
+
+    `configs --verify` replays every match of one host in turn, and a
+    Graph is immutable and hashable, so each host is classified and its
+    conflict graph built once.  Callers must not mutate the results.
+    """
+    return classify(g, scheme).labels, build_conflict_graph(g)
+
+
 def verify_reducibility(g, m, budget=10.0):
     """Replay a match's recipe; report the verdict and bound checks.
 
@@ -402,14 +413,13 @@ def verify_reducibility(g, m, budget=10.0):
     additionally drops the erased edges.
     """
     pattern = _pattern_by_id(m.pattern_id)
-    labels = classify(g, pattern.scheme).labels
+    labels, cg = _host_tables(g, pattern.scheme)
     mapping = dict(m.assignment)
     if not match_satisfies(g, pattern, labels, mapping):
         raise ValueError(f"match of {pattern.id!r} does not hold in this graph")
     recipe = _instantiate(pattern, g, labels, mapping)
     k = _PALETTE[pattern.scheme]
     v = recipe.delete
-    cg = build_conflict_graph(g)
 
     erase_ids = {g.edge_id(u, w) for u, w in recipe.erase}
     gone = set(g.incident_edges(v))

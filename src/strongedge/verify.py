@@ -11,7 +11,12 @@ argument predicts: at least one catalog configuration is present
 Graphs that exhaust their time budget are reported as timeouts, never as
 failures, and never abort the run.  Reports serialize to versioned JSON
 with rationals as {num, den} (`_frac`, the package's one rational encoder);
-a rerun on the same corpus differs at most in the wall-time field.
+a rerun on the same corpus differs at most in the wall-time field.  The
+layout is that of ``json.dumps(doc, indent=2)``, but only the report's head
+goes through json.dumps: the filtered list, the records and their audit
+rows are written from fixed templates, with strings escaped by json's own
+C escaper, because json.dumps runs its pure-Python encoder whenever an
+indent is set.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import multiprocessing
 import os
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
 
@@ -159,47 +165,112 @@ def verify_theorem(which, corpus, budget=10.0, jobs=None, descriptor=""):
 
 
 def _frac(x):
-    f = Fraction(x)
-    return {"num": f.numerator, "den": f.denominator}
+    # a Fraction or an int already holds its lowest terms
+    return {"num": x.numerator, "den": x.denominator}
+
+
+def _json_scalar(x):
+    """An int, bool or None spelt as json.dumps spells it."""
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    return "%d" % x
+
+
+def _array(items, indent):
+    """A JSON array of rendered items, laid out as json.dumps(indent=2) lays
+    out an array whose opening line is indented by `indent` spaces."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (indent + 2)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
+
+
+def _strings(items, indent):
+    # the C escaper json.dumps itself uses under its default ensure_ascii
+    return _array([encode_basestring_ascii(s) for s in items], indent)
+
+
+def _rational(x, indent):
+    f = _frac(x)
+    pad = " " * indent
+    return '{\n%s  "num": %d,\n%s  "den": %d\n%s}' % (
+        pad, f["num"], pad, f["den"], pad,
+    )
+
+
+_RECORD = """{
+      "graph6": %s,
+      "theta": %d,
+      "mad": %s,
+      "chi_s": %s,
+      "bound": %d,
+      "pass": %s,
+      "timeout": %s,
+      "configurations_found": %s,
+      "discharge_negatives": %s
+    }"""
+
+_NEGATIVE = """{
+          "vertex": %d,
+          "final": %s,
+          "patterns": %s
+        }"""
 
 
 def report_to_json(report):
-    """Serialize a report deterministically (field order fixed)."""
-    records = []
-    for r in report.records:
-        records.append(
-            {
-                "graph6": r.graph6,
-                "theta": r.theta,
-                "mad": _frac(r.mad),
-                "chi_s": r.chi_s,
-                "bound": r.bound,
-                "pass": r.passed,
-                "timeout": r.timeout,
-                "configurations_found": list(r.configurations_found),
-                "discharge_negatives": [
-                    {
-                        "vertex": a.vertex,
-                        "final": _frac(a.final),
-                        "patterns": list(a.patterns),
-                    }
+    """Serialize a report deterministically (field order fixed).
+
+    The text is the report's document in ``json.dumps(doc, indent=2)``'s
+    layout plus a final newline; past the head it comes from the templates
+    above, one per record and per audit row.
+    """
+    head = json.dumps(
+        {
+            "schema": SCHEMA,
+            "theorem": report.theorem,
+            "bound": report.bound,
+            "target": _frac(report.target),
+            "corpus": report.corpus,
+            "version": report.version,
+            "wall_ms": report.wall_ms,
+            "summary": report.summary,
+        },
+        indent=2,
+    )
+    records = [
+        _RECORD % (
+            encode_basestring_ascii(r.graph6),
+            r.theta,
+            _rational(r.mad, 6),
+            _json_scalar(r.chi_s),
+            r.bound,
+            _json_scalar(r.passed),
+            _json_scalar(r.timeout),
+            _strings(r.configurations_found, 6),
+            _array(
+                [
+                    _NEGATIVE
+                    % (a.vertex, _rational(a.final, 10), _strings(a.patterns, 10))
                     for a in r.discharge_negatives
                 ],
-            }
+                6,
+            ),
         )
-    doc = {
-        "schema": SCHEMA,
-        "theorem": report.theorem,
-        "bound": report.bound,
-        "target": _frac(report.target),
-        "corpus": report.corpus,
-        "version": report.version,
-        "wall_ms": report.wall_ms,
-        "summary": report.summary,
-        "filtered": list(report.filtered),
-        "records": records,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+        for r in report.records
+    ]
+    # the head ends in "\n}"; the last two keys continue its object
+    return (
+        head[:-2]
+        + ',\n  "filtered": '
+        + _strings(report.filtered, 2)
+        + ',\n  "records": '
+        + _array(records, 2)
+        + "\n}\n"
+    )
 
 
 def emit_report(report, path):

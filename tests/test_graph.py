@@ -1,5 +1,7 @@
 """Core graph container, seeing relation, and the two file formats."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -151,6 +153,22 @@ def test_graph6_roundtrip(case):
 def test_graph6_roundtrip_corpus(corpus6):
     for g in corpus6:
         assert parse_graph6(to_graph6(g)).edges == g.edges
+
+
+def test_graph6_is_kept_on_the_graph(corpus7):
+    # parsed graphs keep their record and encoded ones their string; both
+    # must be the one encoding a fresh graph gets, and survive pickling
+    for g in corpus7:
+        s = to_graph6(g)
+        assert s == _reference_g6(g.n, g.edges)
+        assert to_graph6(Graph(g.n, g.edges)) == s
+        assert to_graph6(parse_graph6(s)) == s
+        h = parse_graph6(s.encode() + b"\r\n")
+        assert type(to_graph6(h)) is str and to_graph6(h) == s
+        for x in (h, Graph(g.n, g.edges)):
+            y = pickle.loads(pickle.dumps(x))
+            assert y == x == g and hash(y) == hash(x) == hash(g)
+            assert to_graph6(y) == s
 
 
 def test_graph6_errors_carry_offsets():

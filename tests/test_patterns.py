@@ -506,6 +506,35 @@ def test_replay_bound_checks_recomputed():
             assert b.ok == (b.observed <= b.asserted)
 
 
+def test_replays_classify_and_build_each_host_once(monkeypatch):
+    # replaying every match of one host classifies it and builds its
+    # conflict graph once; only each g - v gets a conflict graph of its own
+    g = Graph(*oracles.petersen())
+    found = find_configurations(g, Scheme.THETA7, classify(g, Scheme.THETA7).labels)
+    patterns_module._host_tables.cache_clear()
+    fresh = []
+    for m in found:
+        fresh.append(verify_reducibility(g, m))
+        patterns_module._host_tables.cache_clear()
+    calls = {"classify": 0, "build": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(patterns_module, "classify", counted("classify", classify))
+    monkeypatch.setattr(
+        patterns_module, "build_conflict_graph", counted("build", build_conflict_graph)
+    )
+    replays = [verify_reducibility(Graph(g.n, g.edges), m) for m in found]
+    assert calls == {"classify": 1, "build": 1 + len(found)}
+    strip = [r._replace(time_ms=0) for r in replays]
+    assert strip == [r._replace(time_ms=0) for r in fresh]
+
+
 def test_out_edges_may_reach_matched_slots():
     # OUT at x is every host edge at x's host that no pattern edge at x
     # covers: here z1 and z2 are matched slots adjacent to x's host, and

@@ -17,6 +17,7 @@ from strongedge import (
     report_to_json,
     verify_theorem,
 )
+from strongedge.discharge import AuditRecord
 
 
 def test_run_over_small_corpus(corpus6):
@@ -171,3 +172,78 @@ def test_failures_are_counted(monkeypatch):
     [rec] = report.records
     assert rec.passed is False and rec.chi_s == 99
     assert report.summary["failures"] == 1
+
+
+def _reference_json(report):
+    # the report's document as a dict, dumped by json itself; independent
+    # of the package's writer
+    def frac(x):
+        f = Fraction(x)
+        return {"num": f.numerator, "den": f.denominator}
+
+    doc = {
+        "schema": "strongedge-report/1",
+        "theorem": report.theorem,
+        "bound": report.bound,
+        "target": frac(report.target),
+        "corpus": report.corpus,
+        "version": report.version,
+        "wall_ms": report.wall_ms,
+        "summary": report.summary,
+        "filtered": list(report.filtered),
+        "records": [
+            {
+                "graph6": r.graph6,
+                "theta": r.theta,
+                "mad": frac(r.mad),
+                "chi_s": r.chi_s,
+                "bound": r.bound,
+                "pass": r.passed,
+                "timeout": r.timeout,
+                "configurations_found": list(r.configurations_found),
+                "discharge_negatives": [
+                    {
+                        "vertex": a.vertex,
+                        "final": frac(a.final),
+                        "patterns": list(a.patterns),
+                    }
+                    for a in r.discharge_negatives
+                ],
+            }
+            for r in report.records
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def test_report_json_is_json_dumps_layout(corpus6):
+    k4 = Graph(*oracles.complete(4))
+    big_star = Graph(*oracles.star(8))
+    c5 = Graph(*oracles.cycle(5))
+    reports = [
+        verify_theorem(1, [], jobs=1),
+        verify_theorem(1, [k4, big_star], jobs=1),  # every graph filtered
+        verify_theorem(1, [Graph(2, []), Graph(4, [(0, 1), (2, 3)]), c5], jobs=1),
+        verify_theorem(2, [c5], jobs=1, descriptor="c\u00e9 \u2264 \U0001d54a \"q\" \\"),
+    ]
+    [rec] = reports[-1].records
+    bare = rec._replace(configurations_found=(), discharge_negatives=())
+    audits = (
+        AuditRecord(0, Fraction(-1, 3), ()),
+        AuditRecord(4, Fraction(-2), ("triangle", "d\u00e9g \"2\"")),
+    )
+    reports += [
+        reports[-1]._replace(records=(bare,)),
+        reports[-1]._replace(records=(rec._replace(discharge_negatives=audits),)),
+        reports[-1]._replace(
+            records=(rec._replace(chi_s=None, passed=None, timeout=True), bare)
+        ),
+    ]
+    for which in (1, 2):
+        reports.append(verify_theorem(which, corpus6, jobs=1, descriptor="n<=6"))
+    # the n <= 6 corpus has audit rows, and a graph6 record with a
+    # backslash, which JSON escapes
+    assert any(r.discharge_negatives for r in reports[-1].records)
+    assert any("\\" in r.graph6 for r in reports[-1].records)
+    for report in reports:
+        assert report_to_json(report) == _reference_json(report)
