@@ -27,6 +27,22 @@ isomorphic children, so each parent is joined only to the least mask of
 each orbit.  The emitted stream is unchanged by this: each class is still
 emitted as the first candidate that reaches it in (parent, mask) order, and
 that candidate is always the least mask of its orbit.
+
+Most candidates are not the first of their class, and a pre-test skips
+many of them before any key is computed.  The level is sorted by edge
+list; take a candidate C from the parent at position i.  Suppose that for
+some old vertex w, C - w is connected and every parent with the invariant
+of C - w (its degree multiset and triangle count) sits before position i.
+Then C - w is isomorphic to a parent P before position i, and P joined to
+the least mask in the orbit of the image of w's neighbourhood is
+isomorphic to C and comes first, so C is skipped.  The first candidate of
+a class never passes the test, so the stream is unchanged.  Under
+max_edges the same holds: C - w has at most max_edges - (n - size) - 1
+edges, the previous level's cap, so its class is in the level, and P and
+that mask pass their caps.  Each representative carries its invariant and
+its triangles at each vertex, so a candidate's invariant, and that of
+C - w, are updated from its parent's instead of recounted.  For n = 8 the
+test skips 51587 of the 71300 candidates (19713 keys instead of 71300).
 """
 
 from __future__ import annotations
@@ -54,6 +70,15 @@ MAX_N = 9
 # 1 << c per such neighbour stays within bits c..c+k-1: the sum over all
 # neighbours encodes the multiset of their colours exactly, below 1 << n.
 _WEIGHT = [1 << c for c in range(MAX_N)]
+
+# The enumeration pre-test's invariant packs a graph's degree multiset and
+# triangle count into one integer: 16**d per vertex of degree d (at most 9
+# vertices, so each count fits its 4 bits and the sum stays below 1 << 36),
+# plus the triangle count times 1 << 36.  _STEP[d] is the change when one
+# vertex's degree goes from d to d + 1.
+_DEGREE = [1 << 4 * d for d in range(MAX_N)]
+_STEP = [15 << 4 * d for d in range(MAX_N)]
+_TRIANGLE = 1 << 36
 
 # _PAIR[a][b] is the key bit of an edge between positions a and b.
 _PAIR = [
@@ -87,7 +112,10 @@ def _refine(nbrs, color, cells):
     while cells < n:
         weight = [_WEIGHT[c] for c in color]
         new, count = _partition(
-            [(c << MAX_N) + sum([weight[u] for u in nb]) for c, nb in zip(color, nbrs)]
+            [
+                (c << MAX_N) + sum(map(weight.__getitem__, nb))
+                for c, nb in zip(color, nbrs)
+            ]
         )
         if count == cells:
             break
@@ -181,6 +209,47 @@ def _orbit_leaders(k, gens):
     return leaders
 
 
+def _connected_without(adj, w):
+    """Whether the graph with adjacency bitmasks `adj` stays connected
+    without vertex w, which is not its last vertex."""
+    rest = ((1 << len(adj)) - 1) & ~(1 << w)
+    reach = frontier = 1 << (len(adj) - 1)
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        grow = adj[low.bit_length() - 1] & rest & ~reach
+        reach |= grow
+        frontier |= grow
+    return reach == rest
+
+
+def _reached_earlier(top, index, adj, nbrs, triangles, invariant):
+    """Whether a parent before position `index` of the sorted level
+    provably reaches the class of a candidate C, so that C cannot be the
+    first candidate of its class.
+
+    C's last vertex is the added one; `triangles[v]` counts the triangles
+    at v and `invariant` is C's packed invariant.  `top` maps each
+    invariant to the highest position in the level that carries it.  The
+    answer is yes when, for some old vertex w, every parent with C - w's
+    invariant comes before `index` and C - w is connected: then C - w is
+    one of those parents, and the orbit leader of w's neighbourhood there
+    gives C's class first.
+    """
+    drop = [_STEP[len(nb) - 1] for nb in nbrs]
+    for w in range(len(adj) - 1):
+        nb = nbrs[w]
+        rest = (
+            invariant
+            - _DEGREE[len(nb)]
+            - sum(map(drop.__getitem__, nb))
+            - _TRIANGLE * triangles[w]
+        )
+        if top.get(rest, index) < index and _connected_without(adj, w):
+            return True
+    return False
+
+
 def enumerate_connected(n, max_edges=None):
     """Stream one representative per isomorphism class of connected graphs
     on exactly n vertices, optionally only those with at most max_edges
@@ -194,17 +263,19 @@ def enumerate_connected(n, max_edges=None):
     if n == 1:
         yield Graph(1, [])
         return
-    # representatives on `size - 1` vertices: (edges, adj, nbrs, generators)
-    level = [((), [0], [()], [])]
+    # representatives on `size - 1` vertices, sorted by edges: (edges, adj,
+    # nbrs, triangles at each vertex, automorphism generators, invariant)
+    level = [((), [0], [()], [0], [], _DEGREE[0])]
     for size in range(2, n + 1):
         last = size == n
         new = size - 1
         bit = 1 << new
         joined = [tuple(_bits(mask)) for mask in range(1 << new)]
+        top = {rep[5]: index for index, rep in enumerate(level)}
         seen = set()
         out = []
         count = 0
-        for edges, adj, nbrs, gens in level:
+        for index, (edges, adj, nbrs, triangles, gens, invariant) in enumerate(level):
             m = len(edges)
             # every later vertex adds at least one edge
             if max_edges is not None and m + 1 + (n - size) > max_edges:
@@ -213,13 +284,30 @@ def enumerate_connected(n, max_edges=None):
                 total = m + mask.bit_count()
                 if max_edges is not None and total + (n - size) > max_edges:
                     continue
-                cand = edges + tuple((u, new) for u in joined[mask])
                 cadj = [a | bit if mask >> u & 1 else a for u, a in enumerate(adj)]
                 cadj.append(mask)
                 cnbrs = [
                     nb + (new,) if mask >> u & 1 else nb for u, nb in enumerate(nbrs)
                 ]
                 cnbrs.append(joined[mask])
+                # each edge inside the mask closes one triangle with the
+                # new vertex, counted here once from each end
+                ctriangles = triangles[:]
+                closed = 0
+                for u in joined[mask]:
+                    inside = (adj[u] & mask).bit_count()
+                    ctriangles[u] += inside
+                    closed += inside
+                ctriangles.append(closed >> 1)
+                cinvariant = (
+                    invariant
+                    + _DEGREE[len(joined[mask])]
+                    + sum([_STEP[len(nbrs[u])] for u in joined[mask]])
+                    + _TRIANGLE * (closed >> 1)
+                )
+                if _reached_earlier(top, index, cadj, cnbrs, ctriangles, cinvariant):
+                    continue
+                cand = edges + tuple((u, new) for u in joined[mask])
                 key, cgens = _canonical_key(size, cadj, cnbrs, cand)
                 if key in seen:
                     continue
@@ -228,7 +316,7 @@ def enumerate_connected(n, max_edges=None):
                     count += 1
                     yield Graph(size, list(cand))
                 else:
-                    out.append((cand, cadj, cnbrs, cgens))
+                    out.append((cand, cadj, cnbrs, ctriangles, cgens, cinvariant))
         if last and max_edges is None:
             assert count == CONNECTED_COUNTS[n], (
                 f"enumeration self-check failed at n={n}: {count}"

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -14,6 +15,7 @@ from strongedge import (
     MAX_N,
     enumerate_connected,
     is_connected,
+    smallgraphs,
     to_graph6,
 )
 from strongedge.smallgraphs import _canonical_key, _orbit_leaders, _partition, _refine
@@ -105,12 +107,62 @@ def test_representatives_pairwise_nonisomorphic():
 
 
 def test_max_edges_equals_post_filtering():
-    for n in range(1, 7):
+    for n in range(1, 8):
         everything = list(enumerate_connected(n))
         for cap in (n - 1, n, n + 2):
             capped = list(enumerate_connected(n, max_edges=cap))
             expect = [g for g in everything if g.m <= cap]
             assert [g.edges for g in capped] == [g.edges for g in expect]
+
+
+# edge caps as max_edges - n, None for no cap
+_SLACKS = (None, -1, 0, 2)
+
+
+def _capped(n, slack):
+    return [
+        g.edges
+        for g in enumerate_connected(n, None if slack is None else n + slack)
+    ]
+
+
+def test_pre_test_keeps_the_stream(monkeypatch):
+    # a candidate the pre-test skips is never the first of its class, so
+    # computing every candidate's key instead must give the same stream
+    real = smallgraphs._reached_earlier
+    skips = Counter()
+
+    def recorded(*args):
+        answer = real(*args)
+        skips[slack] += answer
+        return answer
+
+    monkeypatch.setattr(smallgraphs, "_reached_earlier", recorded)
+    with_pre_test = {}
+    for n in range(1, 8):
+        for slack in _SLACKS:
+            with_pre_test[n, slack] = _capped(n, slack)
+    # a pre-test that skips nothing would pass the comparison below
+    assert all(skips[slack] > 0 for slack in _SLACKS)
+    monkeypatch.setattr(smallgraphs, "_reached_earlier", lambda *args: False)
+    for (n, slack), edges in with_pre_test.items():
+        assert _capped(n, slack) == edges
+
+
+def test_pre_test_needs_an_earlier_connected_remainder():
+    # the path 0-1-2 with 2 the added vertex: without 1 it falls apart into
+    # two isolated vertices, without 0 it is one edge
+    adj, nbrs = _adjacency(3, [(0, 1), (1, 2)])
+    degree = smallgraphs._DEGREE
+    path, isolated, edge = 2 * degree[1] + degree[2], 2 * degree[0], 2 * degree[1]
+
+    def reached(top):
+        return smallgraphs._reached_earlier(top, 1, adj, nbrs, [0, 0, 0], path)
+
+    assert not reached({isolated: 0})
+    assert reached({edge: 0})
+    # a parent at the candidate's own position is not earlier
+    assert not reached({edge: 1})
 
 
 def test_tree_counts_via_edge_cap():
