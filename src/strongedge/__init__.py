@@ -65,7 +65,6 @@ from .coloring import (
 )
 from .patterns import (
     BoundCheck,
-    ConcreteRecipe,
     ConfigurationMatch,
     Pattern,
     PatternVertex,
@@ -145,7 +144,6 @@ __all__ = [
     "k_colorable",
     # patterns
     "BoundCheck",
-    "ConcreteRecipe",
     "ConfigurationMatch",
     "Pattern",
     "PatternVertex",

@@ -17,6 +17,8 @@ plain edge-list text format.
 
 from __future__ import annotations
 
+import bisect
+
 
 class Graph6Error(ValueError):
     """Malformed graph6 input; ``offset`` is the byte position at fault."""
@@ -31,13 +33,17 @@ class Graph:
 
     Vertices are the integers ``0..n-1``.  Edges are normalized to pairs
     ``(u, v)`` with ``u < v`` and sorted lexicographically; the position of
-    a pair in :attr:`edges` is its edge id.  The graph6 encoding is kept
-    once known: :func:`parse_graph6` stores the record it decoded and
-    :func:`to_graph6` the string it built, so a graph is encoded at most
-    once.  Equality and hashing ignore it; a pickled graph carries it.
+    a pair in :attr:`edges` is its edge id, and :meth:`edge_id` finds it by
+    bisecting that tuple, so no second index is kept.  The same order
+    builds every adjacency list ascending and pairs it with the incidence
+    list: ``neighbors(v)[i]`` is the far end of ``incident_edges(v)[i]``.
+    The graph6 encoding is kept once known: :func:`parse_graph6` stores
+    the record it decoded and :func:`to_graph6` the string it built, so a
+    graph is encoded at most once.  Equality and hashing ignore it; a
+    pickled graph carries it.
     """
 
-    __slots__ = ("_n", "_edges", "_adj", "_edge_index", "_incident", "_graph6")
+    __slots__ = ("_n", "_edges", "_adj", "_incident", "_graph6")
 
     def __init__(self, n, edges):
         if n < 0:
@@ -62,9 +68,8 @@ class Graph:
             adj[v].append(u)
             incident[u].append(eid)
             incident[v].append(eid)
-        self._adj = tuple(tuple(sorted(a)) for a in adj)
+        self._adj = tuple(tuple(a) for a in adj)
         self._incident = tuple(tuple(a) for a in incident)
-        self._edge_index = {e: i for i, e in enumerate(self._edges)}
         self._graph6 = None
 
     @property
@@ -93,15 +98,15 @@ class Graph:
         return max((len(a) for a in self._adj), default=0)
 
     def has_edge(self, u, v):
-        if u > v:
-            u, v = v, u
-        return (u, v) in self._edge_index
+        return 0 <= u < self._n and v in self._adj[u]
 
     def edge_id(self, u, v):
         """Edge id of (u, v); raises KeyError if the edge is absent."""
-        if u > v:
-            u, v = v, u
-        return self._edge_index[(u, v)]
+        pair = (u, v) if u < v else (v, u)
+        e = bisect.bisect_left(self._edges, pair)
+        if e < len(self._edges) and self._edges[e] == pair:
+            return e
+        raise KeyError(pair)
 
     def endpoints(self, e):
         """The pair (u, v) of edge id e."""

@@ -5,10 +5,10 @@ class requirements, required adjacencies, and required non-adjacencies.
 A match is an injective placement of the slots onto host vertices that
 satisfies every constraint; `find_configurations` enumerates all matches,
 deduplicated up to the pattern's own symmetries.  Two things are
-computed once per pattern and cached, since they depend only on the
-pattern's value (slots, edges, nonedges), never on the host graph, and a
-`Pattern` is an immutable, hashable tuple: its symmetry group, and its
-search plan.  The plan orders the slots so that each slot's host
+computed once per pattern, since they depend only on the pattern's value
+(slots, edges, nonedges), never on the host graph, and a `Pattern` is an
+immutable, hashable tuple: its search plan, which is cached, and its
+symmetry group, read only while that plan is built.  The plan orders the slots so that each slot's host
 candidates are cut down to the neighbors of the hosts of the earlier
 slots it has a pattern edge to; in every catalog pattern each slot
 after the first has at least one such slot.  The plan also carries the
@@ -24,7 +24,9 @@ theorem's palette (read from `classes.THEOREMS`), optionally erase a few
 edge colors, then extend the coloring back over the missing edges.  A
 recipe is data over slot names, a tuple of `Case` values checked once
 when the catalog is built, and one interpreter, `_instantiate`, reads it
-on a concrete match.  `verify_reducibility` replays the result and
+on a concrete match: it returns the host vertex to delete, the host edge
+ids to erase, and the (edge id, ceiling) rows before and after the
+erasure.  `verify_reducibility` replays the result in those ids and
 compares the observed per-edge conflict counts with the recipe's
 ceilings.
 """
@@ -89,21 +91,6 @@ class Case(NamedTuple):
     erase: tuple = ()  # pattern edges, as slot pairs
     ceilings: tuple = ()  # (edge, pre) or (edge, pre, post) rows
     when: tuple = ()  # (slot, degree or ClassLabel) pairs
-
-
-class ConcreteRecipe(NamedTuple):
-    """A recipe instantiated on one match: what to delete, erase, check.
-
-    Only the deleted vertex is required; a recipe that erases nothing or
-    asserts no ceiling leaves those fields empty.  Edges are named by
-    their host endpoints.  The palette is not the recipe's: the replay
-    takes its theorem's.
-    """
-
-    delete: int  # host vertex to remove
-    erase: tuple = ()  # host edges (vertex pairs) whose colors get erased
-    pre_bounds: tuple = ()  # ((u, v), ceiling) before erasure
-    post_bounds: tuple = ()  # ((u, v), ceiling) after erasure
 
 
 class ConfigurationMatch(NamedTuple):
@@ -174,11 +161,11 @@ def match_satisfies(g, pattern, labels, assignment):
     return True
 
 
-@functools.cache
 def _pattern_automorphisms(pattern):
     """Slot permutations preserving constraints, edges, and nonedges.
 
-    Cached per pattern value, so each catalog group is computed once.
+    Read only when the cached search plan is built, so each catalog group
+    is computed once.
     """
     p = len(pattern.vertices)
     idx = {pv.name: i for i, pv in enumerate(pattern.vertices)}
@@ -353,10 +340,12 @@ def find_configurations(g, scheme, labels):
 
 
 def _instantiate(pattern, g, labels, a):
-    """The first case of the pattern's recipe that holds, on host vertices.
+    """The first case of the pattern's recipe that holds, in g's edge ids.
 
-    `a` maps slot names to host vertices.  Each ceiling row expands to
-    one (host edge, ceiling) pair per host edge it names.
+    `a` maps slot names to host vertices.  Returns the deleted host
+    vertex, the erased edge ids, and the (edge id, ceiling) rows before
+    and after the erasure; each ceiling row expands to one pair per host
+    edge it names.
     """
 
     def holds(slot, want):
@@ -370,11 +359,12 @@ def _instantiate(pattern, g, labels, a):
 
     def host_edges(slot, far, degree=None):
         x = a[slot]
+        at_x = zip(g.neighbors(x), g.incident_edges(x))
         if far != OUT:
-            return [(x, a[far])]
+            return [e for y, e in at_x if y == a[far]]
         covered = {a[u] for e in pattern.edges if slot in e for u in e}
         return [
-            (x, y) for y in g.neighbors(x)
+            e for y, e in at_x
             if y not in covered and degree in (None, g.degree(y))
         ]
 
@@ -383,8 +373,8 @@ def _instantiate(pattern, g, labels, a):
         for e in host_edges(*edge):
             pre.append((e, ceiling))
             post += [(e, c) for c in after]
-    erase = tuple((a[u], a[v]) for u, v in case.erase)
-    return ConcreteRecipe(a[case.delete], erase, tuple(pre), tuple(post))
+    erase = tuple(e for u, v in case.erase for e in host_edges(u, v))
+    return a[case.delete], erase, pre, post
 
 
 @functools.lru_cache(maxsize=1)
@@ -410,35 +400,32 @@ def verify_reducibility(g, m, budget=10.0):
     edges of g, erase the recipe edges, and extend over the edges at v.
     Conflict ceilings are checked structurally: an edge's pre count is
     how many edges it sees in g that avoid v, its post count
-    additionally drops the erased edges.
+    additionally drops the erased edges.  Edge ids come from the recipe
+    and stay ids to the end; an edge is named as a vertex pair only by
+    `g.endpoints`, for the bound checks and the erased edges reported.
     """
     pattern = _pattern_by_id(m.pattern_id)
     labels, cg = _host_tables(g, pattern.scheme)
     mapping = dict(m.assignment)
     if not match_satisfies(g, pattern, labels, mapping):
         raise ValueError(f"match of {pattern.id!r} does not hold in this graph")
-    recipe = _instantiate(pattern, g, labels, mapping)
+    v, erase, pre, post = _instantiate(pattern, g, labels, mapping)
     k = _PALETTE[pattern.scheme]
-    v = recipe.delete
-
-    erase_ids = {g.edge_id(u, w) for u, w in recipe.erase}
     gone = set(g.incident_edges(v))
 
     bounds = []
     for phase, ceilings, drop in (
-        ("pre", recipe.pre_bounds, gone),
-        ("post", recipe.post_bounds, gone | erase_ids),
+        ("pre", pre, gone),
+        ("post", post, gone.union(erase)),
     ):
-        for (u, w), ceiling in ceilings:
-            obs = sum(1 for f in cg.sees[g.edge_id(u, w)] if f not in drop)
+        for e, ceiling in ceilings:
+            obs = sum(1 for f in cg.sees[e] if f not in drop)
             bounds.append(
-                BoundCheck(
-                    (min(u, w), max(u, w)), phase, ceiling, obs, obs <= ceiling
-                )
+                BoundCheck(g.endpoints(e), phase, ceiling, obs, obs <= ceiling)
             )
     bounds = tuple(bounds)
     bounds_ok = all(b.ok for b in bounds)
-    erased_pairs = tuple((min(u, w), max(u, w)) for u, w in recipe.erase)
+    erased_pairs = tuple(g.endpoints(e) for e in erase)
 
     # g - v keeps v as an isolated vertex, so edge i of h is g's edge
     # kept[i]: Graph sorts its edges and kept is a sorted subset of them.
@@ -460,7 +447,7 @@ def verify_reducibility(g, m, budget=10.0):
         colors[e] = c
     partial = PartialColoring(k, colors)
 
-    outcome = erase_and_extend(cg, partial, erase_ids, sorted(gone))
+    outcome = erase_and_extend(cg, partial, erase, sorted(gone))
     final = None
     if outcome.ok:
         final = tuple(

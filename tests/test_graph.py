@@ -38,6 +38,34 @@ def test_degree_and_neighbors():
     assert sorted(g.incident_edges(3)) == [g.edge_id(0, 3), g.edge_id(2, 3)]
 
 
+def test_lookups_agree_with_the_edge_tuple(rng):
+    # edge ids are positions in g.edges, whatever order or orientation the
+    # edge list came in; each neighbor list ascends and pairs up with the
+    # incidence list of the same vertex
+    for _ in range(60):
+        n = rng.randint(0, 12)
+        pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = set(rng.sample(pool, k=rng.randint(0, len(pool))))
+        listed = [(v, u) if rng.random() < 0.3 else (u, v) for u, v in edges]
+        rng.shuffle(listed)
+        g = Graph(n, listed)
+        for x in range(n):
+            nbrs = g.neighbors(x)
+            assert all(a < b for a, b in zip(nbrs, nbrs[1:]))
+            assert len(nbrs) == len(g.incident_edges(x))
+            for y, e in zip(nbrs, g.incident_edges(x)):
+                assert sorted(g.endpoints(e)) == sorted((x, y))
+        for u in range(-1, n + 1):
+            for v in range(-1, n + 1):
+                pair = (min(u, v), max(u, v))
+                assert g.has_edge(u, v) == (pair in edges)
+                if pair in edges:
+                    assert g.edge_id(u, v) == g.edges.index(pair)
+                else:
+                    with pytest.raises(KeyError):
+                        g.edge_id(u, v)
+
+
 def test_rejects_malformed_edges():
     with pytest.raises(ValueError):
         Graph(3, [(0, 0)])
