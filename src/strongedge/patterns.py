@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 from .classes import THEOREMS, THETA7_3C, THETA8_4C, ClassLabel, Scheme, classify
 from .coloring import PartialColoring, erase_and_extend, k_colorable
-from .graph import Graph, build_conflict_graph
+from .graph import ConflictGraph, Graph, build_conflict_graph
 
 
 class PatternVertex(NamedTuple):
@@ -429,9 +429,15 @@ def verify_reducibility(g, m, budget=10.0):
 
     # g - v keeps v as an isolated vertex, so edge i of h is g's edge
     # kept[i]: Graph sorts its edges and kept is a sorted subset of them.
+    # Seeing between two kept edges is the same in g and h (a joining edge
+    # shares an endpoint with both, so it avoids v too), so h's conflict
+    # graph is cg restricted to the kept edges, and a coloring of h is a
+    # valid partial coloring of g.
     kept = [e for e in range(g.m) if e not in gone]
     h = Graph(g.n, [g.edges[e] for e in kept])
-    solve = k_colorable(build_conflict_graph(h), k, time_budget=budget)
+    at = {e: i for i, e in enumerate(kept)}
+    sees = tuple(tuple(at[f] for f in cg.sees[e] if f in at) for e in kept)
+    solve = k_colorable(ConflictGraph(h, sees), k, time_budget=budget)
     if solve.status in ("TIMEOUT", "UNSAT"):
         verdict = "TIMEOUT" if solve.status == "TIMEOUT" else "VACUOUS"
         return ReducibilityReport(
@@ -439,9 +445,6 @@ def verify_reducibility(g, m, budget=10.0):
             bounds, bounds_ok, solve.nodes, solve.time_ms, None, None,
         )
 
-    # Seeing between two kept edges is the same in g and h (a joining edge
-    # shares an endpoint with both, so it avoids v too), hence the coloring
-    # of h is a valid partial coloring of g.
     colors = [None] * g.m
     for e, c in zip(kept, solve.coloring.colors):
         colors[e] = c

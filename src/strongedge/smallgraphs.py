@@ -29,23 +29,42 @@ emitted as the first candidate that reaches it in (parent, mask) order, and
 that candidate is always the least mask of its orbit.
 
 Most candidates are not the first of their class, and a pre-test skips
-many of them before any key is computed.  The level is sorted by edge
-list; take a candidate C from the parent at position i.  Suppose that for
-some old vertex w, C - w is connected and every parent with the invariant
-of C - w (its degree multiset and triangle count) sits before position i.
-Then C - w is isomorphic to a parent P before position i, and P joined to
-the least mask in the orbit of the image of w's neighbourhood is
-isomorphic to C and comes first, so C is skipped.  The first candidate of
-a class never passes the test, so the stream is unchanged.  Under
-max_edges the same holds: C - w has at most max_edges - (n - size) - 1
-edges, the previous level's cap, so its class is in the level, and P and
-that mask pass their caps.  Each representative carries its invariant and
-its triangles at each vertex, so a candidate's invariant, and that of
-C - w, are updated from its parent's instead of recounted.  For n = 8 the
-test skips 51587 of the 71300 candidates (19713 keys instead of 71300).
+many of them before any key is computed.  Its invariant is the multiset of
+(degree, triangles at the vertex) pairs.  The level is sorted by edge list;
+take a candidate C from the parent at position i.  Suppose that for some
+old vertex w, C - w is connected and every parent with the invariant of
+C - w sits before position i.  Then C - w is isomorphic to a parent P
+before position i, and P joined to the least mask in the orbit of the
+image of w's neighbourhood is isomorphic to C and comes first, so C is
+skipped.  This holds for any isomorphism invariant; a finer one skips
+more.  The first candidate of a class never passes the test, so the
+stream is unchanged.  Under max_edges the same holds: C - w has at most
+max_edges - (n - size) - 1 edges, the previous level's cap, so its class
+is in the level, and P and that mask pass their caps.  Each representative
+carries its invariant and its triangles at each vertex, so a candidate's
+invariant is updated from its parent's over the new vertex's neighbours
+only, and that of C - w changes only at w and N(w): each neighbour u
+loses one degree and the triangles through u and w, one per common
+neighbour.
+
+Keys are computed lazily.  Candidates that survive the pre-test are
+bucketed by the hash of their invariant.  Isomorphic graphs have equal
+invariants, and hashing only merges buckets, so a candidate whose bucket
+is empty is a new class: it is emitted without a key, and the bucket keeps
+its edge set packed into one integer.  On the bucket's first collision the
+stored graph is unpacked and keyed, and from then on every candidate that
+lands there is keyed and checked against the keys seen.  Either way a
+candidate is emitted exactly when no earlier candidate reached its class,
+so the stream is the one that keying every candidate gives.  A parent's
+automorphism generators come from its key, computed when it is extended.
+For n = 8 the pre-test skips 59320 of the 71300 candidates, and 6817 of
+the 11117 classes are emitted with no key; the call computes 6329 keys,
+996 of them for the parents' generators.
 """
 
 from __future__ import annotations
+
+from math import comb
 
 from .graph import Graph
 
@@ -71,14 +90,34 @@ MAX_N = 9
 # neighbours encodes the multiset of their colours exactly, below 1 << n.
 _WEIGHT = [1 << c for c in range(MAX_N)]
 
-# The enumeration pre-test's invariant packs a graph's degree multiset and
-# triangle count into one integer: 16**d per vertex of degree d (at most 9
-# vertices, so each count fits its 4 bits and the sum stays below 1 << 36),
-# plus the triangle count times 1 << 36.  _STEP[d] is the change when one
-# vertex's degree goes from d to d + 1.
-_DEGREE = [1 << 4 * d for d in range(MAX_N)]
-_STEP = [15 << 4 * d for d in range(MAX_N)]
-_TRIANGLE = 1 << 36
+# The pre-test's invariant packs a graph's multiset of (degree, triangles
+# at the vertex) pairs into one integer: a 4-bit count per pair (d, t) with
+# t <= C(d, 2), 93 of them for MAX_N = 9, in order of d, then t.  The pairs
+# of degree d start at slot C(d, 3) + d.  At most MAX_N < 16 vertices share
+# a pair, so no count carries out of its 4 bits and the vertices' shares
+# _UNIT[d][t] sum exactly.
+_UNIT = [
+    [1 << 4 * (comb(d, 3) + d + t) for t in range(comb(d, 2) + 1)]
+    for d in range(MAX_N)
+]
+
+# _LOSS[d][t][k] is the change in the share of a vertex of degree d with t
+# triangles when it loses one neighbour, and with it k triangles (None
+# where no graph has that).
+_LOSS = [[]] + [
+    [
+        [
+            _UNIT[d][t] - _UNIT[d - 1][t - k] if t - k <= comb(d - 1, 2) else None
+            for k in range(t + 1)
+        ]
+        for t in range(comb(d, 2) + 1)
+    ]
+    for d in range(1, MAX_N)
+]
+
+# Vertex v's edges to lower vertices u are bits v(v - 1)/2 + u of a packed
+# edge set, so its set bits, ascending, are the enumerator's edge order.
+_PACKED_EDGE = [(u, v) for v in range(MAX_N) for u in range(v)]
 
 # _PAIR[a][b] is the key bit of an edge between positions a and b.
 _PAIR = [
@@ -236,18 +275,27 @@ def _reached_earlier(top, index, adj, nbrs, triangles, invariant):
     one of those parents, and the orbit leader of w's neighbourhood there
     gives C's class first.
     """
-    drop = [_STEP[len(nb) - 1] for nb in nbrs]
-    for w in range(len(adj) - 1):
-        nb = nbrs[w]
-        rest = (
-            invariant
-            - _DEGREE[len(nb)]
-            - sum(map(drop.__getitem__, nb))
-            - _TRIANGLE * triangles[w]
-        )
+    # the latest old vertices first: at n <= 8 that tries 168161 vertices
+    # over all candidates, against 285553 in ascending order
+    for w in range(len(adj) - 2, -1, -1):
+        near = adj[w]
+        rest = invariant - _UNIT[len(nbrs[w])][triangles[w]]
+        for u in nbrs[w]:
+            rest -= _LOSS[len(nbrs[u])][triangles[u]][(adj[u] & near).bit_count()]
         if top.get(rest, index) < index and _connected_without(adj, w):
             return True
     return False
+
+
+def _unpack(n, packed):
+    """Adjacency bitmasks, neighbour tuples and edges of the graph on n
+    vertices whose edge set is packed as in `_PACKED_EDGE`."""
+    edges = [_PACKED_EDGE[i] for i in _bits(packed)]
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj, [tuple(_bits(a)) for a in adj], edges
 
 
 def enumerate_connected(n, max_edges=None):
@@ -264,22 +312,27 @@ def enumerate_connected(n, max_edges=None):
         yield Graph(1, [])
         return
     # representatives on `size - 1` vertices, sorted by edges: (edges, adj,
-    # nbrs, triangles at each vertex, automorphism generators, invariant)
-    level = [((), [0], [()], [0], [], _DEGREE[0])]
+    # nbrs, triangles at each vertex, invariant, packed edge set)
+    level = [((), [0], [()], [0], _UNIT[0][0], 0)]
     for size in range(2, n + 1):
         last = size == n
         new = size - 1
         bit = 1 << new
+        shift = new * (new - 1) // 2
         joined = [tuple(_bits(mask)) for mask in range(1 << new)]
-        top = {rep[5]: index for index, rep in enumerate(level)}
+        top = {rep[4]: index for index, rep in enumerate(level)}
+        # hash of an invariant -> the packed edge set of the one class
+        # emitted with it so far, or 0 once that class has been keyed
+        buckets = {}
         seen = set()
         out = []
         count = 0
-        for index, (edges, adj, nbrs, triangles, gens, invariant) in enumerate(level):
+        for index, (edges, adj, nbrs, triangles, invariant, packed) in enumerate(level):
             m = len(edges)
             # every later vertex adds at least one edge
             if max_edges is not None and m + 1 + (n - size) > max_edges:
                 continue
+            gens = _canonical_key(new, adj, nbrs, edges)[1]
             for mask in _orbit_leaders(new, gens):
                 total = m + mask.bit_count()
                 if max_edges is not None and total + (n - size) > max_edges:
@@ -294,29 +347,37 @@ def enumerate_connected(n, max_edges=None):
                 # new vertex, counted here once from each end
                 ctriangles = triangles[:]
                 closed = 0
+                cinvariant = invariant
                 for u in joined[mask]:
                     inside = (adj[u] & mask).bit_count()
-                    ctriangles[u] += inside
+                    d = len(nbrs[u])
+                    t = triangles[u]
+                    cinvariant += _UNIT[d + 1][t + inside] - _UNIT[d][t]
+                    ctriangles[u] = t + inside
                     closed += inside
                 ctriangles.append(closed >> 1)
-                cinvariant = (
-                    invariant
-                    + _DEGREE[len(joined[mask])]
-                    + sum([_STEP[len(nbrs[u])] for u in joined[mask]])
-                    + _TRIANGLE * (closed >> 1)
-                )
+                cinvariant += _UNIT[len(joined[mask])][closed >> 1]
                 if _reached_earlier(top, index, cadj, cnbrs, ctriangles, cinvariant):
                     continue
                 cand = edges + tuple((u, new) for u in joined[mask])
-                key, cgens = _canonical_key(size, cadj, cnbrs, cand)
-                if key in seen:
-                    continue
-                seen.add(key)
+                cpacked = packed | mask << shift
+                h = hash(cinvariant)
+                stored = buckets.get(h)
+                if stored is None:
+                    buckets[h] = cpacked
+                else:
+                    if stored:
+                        seen.add(_canonical_key(size, *_unpack(size, stored))[0])
+                        buckets[h] = 0
+                    key = _canonical_key(size, cadj, cnbrs, cand)[0]
+                    if key in seen:
+                        continue
+                    seen.add(key)
                 if last:
                     count += 1
                     yield Graph(size, list(cand))
                 else:
-                    out.append((cand, cadj, cnbrs, ctriangles, cgens, cinvariant))
+                    out.append((cand, cadj, cnbrs, ctriangles, cinvariant, cpacked))
         if last and max_edges is None:
             assert count == CONNECTED_COUNTS[n], (
                 f"enumeration self-check failed at n={n}: {count}"

@@ -19,6 +19,7 @@ import pytest
 import oracles
 from conftest import random_graph
 from strongedge import Graph, enumerate_connected
+from strongedge import patterns as patterns_module
 from strongedge.classes import THEOREMS, Scheme, classify, scheme_target
 from strongedge.coloring import (
     PartialColoring,
@@ -693,6 +694,31 @@ def test_reducibility_lift_matches_independent_solve():
                 lifted += 1
                 assert final[edge] == c, f"{builder.__name__}/{pattern_id}"
     assert lifted > 0
+
+
+def test_replays_restrict_the_host_conflict_graph(monkeypatch):
+    # every replay on the criterion-10 hosts colors g - v with the host's
+    # conflict graph restricted to the kept edges: the same sees-relation
+    # that building g - v's conflict graph from scratch gives
+    real = patterns_module.k_colorable
+    checked = []
+
+    def compared(cg, k, time_budget):
+        assert cg.sees == build_conflict_graph(cg.base).sees
+        checked.append(cg.n)
+        return real(cg, k, time_budget=time_budget)
+
+    monkeypatch.setattr(patterns_module, "k_colorable", compared)
+    built = {}
+    for scheme_name, _, builder, _ in REDUCIBILITY_HOSTS:
+        built.setdefault((scheme_name, builder), builder())
+    replays = 0
+    for (scheme_name, _), g in built.items():
+        scheme = Scheme(scheme_name)
+        for m in find_configurations(g, scheme, classify(g, scheme).labels):
+            verify_reducibility(g, m, budget=60.0)
+            replays += 1
+    assert len(checked) == replays and any(checked)
 
 
 # sha256 of the recipe rows below, taken before the recipes became data

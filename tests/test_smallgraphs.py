@@ -153,8 +153,9 @@ def test_pre_test_needs_an_earlier_connected_remainder():
     # the path 0-1-2 with 2 the added vertex: without 1 it falls apart into
     # two isolated vertices, without 0 it is one edge
     adj, nbrs = _adjacency(3, [(0, 1), (1, 2)])
-    degree = smallgraphs._DEGREE
-    path, isolated, edge = 2 * degree[1] + degree[2], 2 * degree[0], 2 * degree[1]
+    unit = smallgraphs._UNIT
+    path = 2 * unit[1][0] + unit[2][0]
+    isolated, edge = 2 * unit[0][0], 2 * unit[1][0]
 
     def reached(top):
         return smallgraphs._reached_earlier(top, 1, adj, nbrs, [0, 0, 0], path)
@@ -163,6 +164,113 @@ def test_pre_test_needs_an_earlier_connected_remainder():
     assert reached({edge: 0})
     # a parent at the candidate's own position is not earlier
     assert not reached({edge: 1})
+
+
+def _invariant(adj, vertices):
+    # from scratch: each vertex's degree and the edges among its
+    # neighbours, in the subgraph induced on `vertices`
+    inside = sum(1 << v for v in vertices)
+    pairs = Counter()
+    for v in vertices:
+        near = adj[v] & inside
+        edges_among = sum((adj[u] & near).bit_count() for u in smallgraphs._bits(near))
+        pairs[near.bit_count(), edges_among // 2] += 1
+    return sum(count * smallgraphs._UNIT[d][t] for (d, t), count in pairs.items())
+
+
+def test_invariant_packs_each_pair_in_its_own_slot():
+    # 4 bits per (degree, triangles) pair with triangles <= C(degree, 2):
+    # at most MAX_N vertices share a slot, so a sum of units never carries
+    units = sorted(u for row in smallgraphs._UNIT for u in row)
+    assert units == [16**slot for slot in range(93)]
+    assert MAX_N < 16
+
+
+def test_invariant_is_updated_exactly(monkeypatch):
+    # the invariant of every candidate, and that of each C - w the
+    # pre-test looks up, equals a count from scratch on the induced
+    # subgraph, whatever the labelling
+    rng = random.Random(15)
+    real = smallgraphs._reached_earlier
+    looked = []
+    counts = Counter()
+
+    class EveryParentEarlier(dict):
+        # sends every w on to the connectivity test below
+        def get(self, key, default):
+            looked.append(key)
+            return -1
+
+    def probe_remainder(adj, w):
+        assert looked.pop() == _invariant(adj, [v for v in range(len(adj)) if v != w])
+        counts["removed"] += 1
+        return False
+
+    def probe(top, index, adj, nbrs, triangles, invariant):
+        n = len(adj)
+        assert invariant == _invariant(adj, range(n))
+        for _ in range(3):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            moved = [0] * n
+            for v in range(n):
+                for u in smallgraphs._bits(adj[v]):
+                    moved[perm[v]] |= 1 << perm[u]
+            assert _invariant(moved, range(n)) == invariant
+        assert not real(EveryParentEarlier(), index, adj, nbrs, triangles, invariant)
+        counts["old vertices"] += n - 1
+        # skipping nothing keeps the stream (test_pre_test_keeps_the_stream)
+        return False
+
+    monkeypatch.setattr(smallgraphs, "_connected_without", probe_remainder)
+    monkeypatch.setattr(smallgraphs, "_reached_earlier", probe)
+    for n in range(2, 7):
+        assert sum(1 for _ in enumerate_connected(n)) == CONNECTED_COUNTS[n]
+    # every old vertex of every candidate was removed once
+    assert counts["removed"] == counts["old vertices"] > 0
+    assert not looked
+
+
+def test_lazy_keys_keep_the_stream(monkeypatch):
+    # a candidate alone in its invariant's bucket is a new class, so
+    # keying every candidate instead must give the same stream
+    keys = Counter()
+    real = smallgraphs._canonical_key
+
+    def counted(*args):
+        keys[mode, slack] += 1
+        return real(*args)
+
+    monkeypatch.setattr(smallgraphs, "_canonical_key", counted)
+    streams = {}
+    for mode in ("lazy", "every"):
+        if mode == "every":
+            # one bucket for every invariant: each candidate gets a key
+            monkeypatch.setattr(smallgraphs, "hash", lambda invariant: 0, raising=False)
+        for n in range(1, 8):
+            for slack in _SLACKS:
+                streams[mode, n, slack] = _capped(n, slack)
+    for n in range(1, 8):
+        for slack in _SLACKS:
+            assert streams["lazy", n, slack] == streams["every", n, slack]
+    # lazy keys that key every candidate anyway would pass the comparison
+    assert all(keys["lazy", slack] < keys["every", slack] for slack in _SLACKS)
+
+
+def test_keys_per_call_are_pinned(monkeypatch):
+    # keys go to parents as they are extended (for their automorphisms)
+    # and to candidates whose invariant's bucket is already taken
+    keys = Counter()
+    real = smallgraphs._canonical_key
+
+    def counted(*args):
+        keys[n] += 1
+        return real(*args)
+
+    monkeypatch.setattr(smallgraphs, "_canonical_key", counted)
+    for n in (7, 8):
+        assert sum(1 for _ in enumerate_connected(n)) == CONNECTED_COUNTS[n]
+    assert keys == {7: 313, 8: 6329}
 
 
 def test_tree_counts_via_edge_cap():
