@@ -19,8 +19,6 @@ from .graph import (
     Graph,
     Graph6Error,
     build_conflict_graph,
-    delete_vertex,
-    edge_sees,
     is_connected,
     parse_edge_list,
     parse_graph6,
@@ -102,8 +100,6 @@ __all__ = [
     "ConflictGraph",
     "Graph6Error",
     "build_conflict_graph",
-    "delete_vertex",
-    "edge_sees",
     "is_connected",
     "parse_edge_list",
     "parse_graph6",

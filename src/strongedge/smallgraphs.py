@@ -48,17 +48,18 @@ loses one degree and the triangles through u and w, one per common
 neighbour.
 
 Keys are computed lazily.  Candidates that survive the pre-test are
-bucketed by the hash of their invariant.  Isomorphic graphs have equal
-invariants, and hashing only merges buckets, so a candidate whose bucket
-is empty is a new class: it is emitted without a key, and the bucket keeps
-its edge set packed into one integer.  On the bucket's first collision the
-stored graph is unpacked and keyed, and from then on every candidate that
-lands there is keyed and checked against the keys seen.  Either way a
-candidate is emitted exactly when no earlier candidate reached its class,
-so the stream is the one that keying every candidate gives.  A parent's
-automorphism generators come from its key, computed when it is extended.
-For n = 8 the pre-test skips 59320 of the 71300 candidates, and 6817 of
-the 11117 classes are emitted with no key; the call computes 6329 keys,
+bucketed by their invariant modulo a 64-bit prime.  Isomorphic graphs have
+equal invariants, and the reduction only merges buckets, so a candidate
+whose bucket is empty is a new class: it is emitted without a key, and the
+bucket keeps its edge set packed into one integer.  On the bucket's first
+collision the stored graph is unpacked and keyed, and from then on every
+candidate that lands there is keyed and checked against the keys seen.
+Either way a candidate is emitted exactly when no earlier candidate
+reached its class, so the stream is the one that keying every candidate
+gives.  A parent's automorphism generators come from its key, computed
+when it is extended.
+For n = 8 the pre-test skips 59320 of the 71300 candidates, and 6832 of
+the 11117 classes are emitted with no key; the call computes 6314 keys,
 996 of them for the parents' generators.
 """
 
@@ -96,6 +97,12 @@ _WEIGHT = [1 << c for c in range(MAX_N)]
 # of degree d start at slot C(d, 3) + d.  At most MAX_N < 16 vertices share
 # a pair, so no count carries out of its 4 bits and the vertices' shares
 # _UNIT[d][t] sum exactly.
+# Buckets are invariants modulo this prime, 2^64 - 59.  Python's hash()
+# would reduce them modulo 2^61 - 1, under which 16^s = 2^(4s mod 61): slots
+# s and s + 61 would add the same amount and merge buckets of distinct
+# invariants.
+_BUCKET_PRIME = (1 << 64) - 59
+
 _UNIT = [
     [1 << 4 * (comb(d, 3) + d + t) for t in range(comb(d, 2) + 1)]
     for d in range(MAX_N)
@@ -321,7 +328,7 @@ def enumerate_connected(n, max_edges=None):
         shift = new * (new - 1) // 2
         joined = [tuple(_bits(mask)) for mask in range(1 << new)]
         top = {rep[4]: index for index, rep in enumerate(level)}
-        # hash of an invariant -> the packed edge set of the one class
+        # bucket of an invariant -> the packed edge set of the one class
         # emitted with it so far, or 0 once that class has been keyed
         buckets = {}
         seen = set()
@@ -361,14 +368,14 @@ def enumerate_connected(n, max_edges=None):
                     continue
                 cand = edges + tuple((u, new) for u in joined[mask])
                 cpacked = packed | mask << shift
-                h = hash(cinvariant)
-                stored = buckets.get(h)
+                bucket = cinvariant % _BUCKET_PRIME
+                stored = buckets.get(bucket)
                 if stored is None:
-                    buckets[h] = cpacked
+                    buckets[bucket] = cpacked
                 else:
                     if stored:
                         seen.add(_canonical_key(size, *_unpack(size, stored))[0])
-                        buckets[h] = 0
+                        buckets[bucket] = 0
                     key = _canonical_key(size, cadj, cnbrs, cand)[0]
                     if key in seen:
                         continue

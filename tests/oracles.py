@@ -233,6 +233,22 @@ def canonical_form(n, edges):
     return (n, best)
 
 
+def delete_vertex(n, edges, v):
+    """Delete v and its incident edges; compact ids.
+
+    Returns ``((n - 1, kept), mapping)`` where ``kept`` holds exactly the
+    edges avoiding ``v``, renamed, and ``mapping`` sends each surviving
+    old vertex id to its new id (v itself is absent from the mapping).
+    """
+    if not (0 <= v < n):
+        raise ValueError(f"invalid vertex id {v}")
+    mapping = {
+        old: old if old < v else old - 1 for old in range(n) if old != v
+    }
+    kept = [(mapping[a], mapping[b]) for a, b in edges if v not in (a, b)]
+    return (n - 1, kept), mapping
+
+
 # Named small graphs, as (n, edges).
 
 def path(k):

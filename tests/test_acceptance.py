@@ -30,7 +30,7 @@ from strongedge.coloring import (
     k_colorable,
 )
 from strongedge.discharge import apply_rules, builtin_ruleset, initial_charges
-from strongedge.graph import build_conflict_graph, delete_vertex
+from strongedge.graph import build_conflict_graph
 from strongedge.metrics import mad_bruteforce, mad_exact, ore_degree
 from strongedge.patterns import catalog, find_configurations, verify_reducibility
 from strongedge.verify import verify_theorem
@@ -667,7 +667,7 @@ def test_reducibility_hosts_replay_with_theorem_palette():
 
 def test_reducibility_lift_matches_independent_solve():
     # the replay colors g - v in g's own edge ids; solving the compacted
-    # copy from delete_vertex and mapping its coloring back through the
+    # copy from oracles.delete_vertex and mapping its coloring back through the
     # vertex map must give the same colors on every edge the extension
     # leaves alone (those avoiding v and not erased)
     lifted = 0
@@ -683,7 +683,8 @@ def test_reducibility_lift_matches_independent_solve():
         report = verify_reducibility(g, m, budget=60.0)
         if report.verdict != "EXTENDED":
             continue
-        h, vmap = delete_vertex(g, report.deleted)
+        (n, kept), vmap = oracles.delete_vertex(g.n, g.edges, report.deleted)
+        h = Graph(n, kept)
         solve = k_colorable(build_conflict_graph(h), report.k, time_budget=60.0)
         assert solve.status == "SAT" and solve.nodes == report.nodes
         inv = {new: old for old, new in vmap.items()}
