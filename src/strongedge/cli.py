@@ -73,7 +73,10 @@ def _read_graph(args):
 
 
 def _emit(doc, out):
-    text = json.dumps(doc, indent=2) + "\n"
+    _write(json.dumps(doc, indent=2) + "\n", out)
+
+
+def _write(text, out):
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
@@ -94,7 +97,7 @@ def _cmd_metrics(args):
     doc = {
         "n": g.n,
         "m": g.m,
-        "delta": g.max_degree() if g.n else 0,
+        "delta": g.max_degree(),
         "theta": ore_degree(g) if g.m else None,
     }
     if g.m:
@@ -289,11 +292,7 @@ def _cmd_verify(args):
         jobs=args.jobs,
         descriptor=descriptor,
     )
-    text = report_to_json(report)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write(report_to_json(report), args.out)
     return 2 if report.summary["failures"] else 0
 
 

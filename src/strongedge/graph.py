@@ -25,6 +25,8 @@ import bisect
 _SHARED_LIMIT = 1 << 16
 _shared = {}
 
+_G6_PAIR = [(u, v) for v in range(62) for u in range(v)]  # graph6 pair order
+
 
 class Graph6Error(ValueError):
     """Malformed graph6 input; ``offset`` is the byte position at fault."""
@@ -245,24 +247,21 @@ def parse_graph6(line):
         )
     if len(data) - 1 > nbytes:
         raise Graph6Error("trailing bytes after graph data", 1 + nbytes)
-    bits = []
-    for i in range(nbytes):
-        byte = data[1 + i]
+    # the data bytes' six-bit groups, big-endian: pair k is bit
+    # 6 * nbytes - 1 - k, and the padding, under six bits, ends the last byte
+    bits = 0
+    for i in range(1, 1 + nbytes):
+        byte = data[i]
         if not (63 <= byte <= 126):
-            raise Graph6Error(f"data byte {byte} out of range", 1 + i)
-        val = byte - 63
-        for shift in range(5, -1, -1):
-            bits.append((val >> shift) & 1)
+            raise Graph6Error(f"data byte {byte} out of range", i)
+        bits = bits << 6 | byte - 63
+    if bits & ((1 << (6 * nbytes - nbits)) - 1):
+        raise Graph6Error("nonzero padding bits", nbytes)
     edges = []
-    k = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[k]:
-                edges.append((u, v))
-            k += 1
-    for j in range(k, len(bits)):
-        if bits[j]:
-            raise Graph6Error("nonzero padding bits", 1 + j // 6)
+    while bits:
+        low = bits & -bits
+        edges.append(_G6_PAIR[6 * nbytes - low.bit_length()])
+        bits ^= low
     g = Graph(n, edges)
     g._graph6 = data.decode("ascii")
     return g
@@ -279,19 +278,14 @@ def to_graph6(g):
     n = g.n
     if n > 62:
         raise ValueError(f"short-form graph6 requires n <= 62, got {n}")
-    bits = []
-    for v in range(1, n):
-        for u in range(v):
-            bits.append(1 if g.has_edge(u, v) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(n + 63)]
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i : i + 6]:
-            val = (val << 1) | b
-        out.append(chr(val + 63))
-    g._graph6 = "".join(out)
+    # pair k of the column order is bit top - k, padding zeros below
+    top = (n * (n - 1) // 2 + 5) // 6 * 6 - 1
+    bits = 0
+    for u, v in g.edges:
+        bits |= 1 << top - (v * (v - 1) // 2 + u)
+    g._graph6 = chr(n + 63) + "".join(
+        [chr((bits >> shift & 63) + 63) for shift in range(top - 5, -1, -6)]
+    )
     return g._graph6
 
 

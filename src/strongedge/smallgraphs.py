@@ -47,6 +47,10 @@ only, and that of C - w changes only at w and N(w): each neighbour u
 loses one degree and the triangles through u and w, one per common
 neighbour.
 
+A graph is held as one adjacency bitmask per vertex, beside the edge tuple
+its `Graph` is built from; `_BITS[mask]` lists a mask's vertices wherever a
+loop needs them.
+
 Keys are computed lazily.  Candidates that survive the pre-test are
 bucketed by their invariant modulo a 64-bit prime.  Isomorphic graphs have
 equal invariants, and the reduction only merges buckets, so a candidate
@@ -67,7 +71,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .graph import Graph
+from .graph import _G6_PAIR, Graph
 
 # Connected simple graphs on 1..9 vertices, one count per order.  The
 # stream self-checks against these on exhaustion (full runs only).
@@ -122,10 +126,6 @@ _LOSS = [[]] + [
     for d in range(1, MAX_N)
 ]
 
-# Vertex v's edges to lower vertices u are bits v(v - 1)/2 + u of a packed
-# edge set, so its set bits, ascending, are the enumerator's edge order.
-_PACKED_EDGE = [(u, v) for v in range(MAX_N) for u in range(v)]
-
 # _PAIR[a][b] is the key bit of an edge between positions a and b.
 _PAIR = [
     [1 << (min(a, b) * MAX_N + max(a, b)) for b in range(MAX_N)]
@@ -138,6 +138,10 @@ def _bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+# _BITS[mask] is the tuple of vertices in a vertex bitmask, ascending.
+_BITS = [tuple(_bits(mask)) for mask in range(1 << MAX_N)]
 
 
 def _partition(sig):
@@ -169,13 +173,16 @@ def _refine(nbrs, color, cells):
     return color, cells
 
 
-def _canonical_key(n, adj, nbrs, edges):
+def _canonical_key(adj):
     """Canonical key of a graph and generators of its automorphism group.
 
-    `adj[v]` is v's neighbourhood as a bitmask and `nbrs[v]` as a tuple.
-    Two graphs on n vertices have equal keys exactly when they are
-    isomorphic.  The generators are permutations as tuples, v -> g[v].
+    `adj[v]` is v's neighbourhood as a bitmask.  Two graphs on the same
+    number of vertices have equal keys exactly when they are isomorphic.
+    The generators are permutations as tuples, v -> g[v].
     """
+    n = len(adj)
+    nbrs = [_BITS[a] for a in adj]
+    edges = [(u, v) for v, a in enumerate(adj) for u in _BITS[a & ~(-1 << v)]]
     best_key = None
     best = []  # orderings (vertex -> position) that reach best_key
     gens = []
@@ -269,7 +276,7 @@ def _connected_without(adj, w):
     return reach == rest
 
 
-def _reached_earlier(top, index, adj, nbrs, triangles, invariant):
+def _reached_earlier(top, index, adj, triangles, invariant):
     """Whether a parent before position `index` of the sorted level
     provably reaches the class of a candidate C, so that C cannot be the
     first candidate of its class.
@@ -286,23 +293,25 @@ def _reached_earlier(top, index, adj, nbrs, triangles, invariant):
     # over all candidates, against 285553 in ascending order
     for w in range(len(adj) - 2, -1, -1):
         near = adj[w]
-        rest = invariant - _UNIT[len(nbrs[w])][triangles[w]]
-        for u in nbrs[w]:
-            rest -= _LOSS[len(nbrs[u])][triangles[u]][(adj[u] & near).bit_count()]
+        rest = invariant - _UNIT[near.bit_count()][triangles[w]]
+        for u in _BITS[near]:
+            rest -= _LOSS[adj[u].bit_count()][triangles[u]][(adj[u] & near).bit_count()]
         if top.get(rest, index) < index and _connected_without(adj, w):
             return True
     return False
 
 
 def _unpack(n, packed):
-    """Adjacency bitmasks, neighbour tuples and edges of the graph on n
-    vertices whose edge set is packed as in `_PACKED_EDGE`."""
-    edges = [_PACKED_EDGE[i] for i in _bits(packed)]
+    """Adjacency bitmasks of the graph on n vertices with packed edge set
+    `packed`: vertex v's edges to lower vertices u are bits v(v - 1)/2 + u,
+    graph6's pair order, so its set bits, ascending, are the enumerator's
+    edge order."""
     adj = [0] * n
-    for u, v in edges:
+    for i in _bits(packed):
+        u, v = _G6_PAIR[i]
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return adj, [tuple(_bits(a)) for a in adj], edges
+    return adj
 
 
 def enumerate_connected(n, max_edges=None):
@@ -319,54 +328,50 @@ def enumerate_connected(n, max_edges=None):
         yield Graph(1, [])
         return
     # representatives on `size - 1` vertices, sorted by edges: (edges, adj,
-    # nbrs, triangles at each vertex, invariant, packed edge set)
-    level = [((), [0], [()], [0], _UNIT[0][0], 0)]
+    # triangles at each vertex, invariant, packed edge set)
+    level = [((), [0], [0], _UNIT[0][0], 0)]
     for size in range(2, n + 1):
         last = size == n
         new = size - 1
         bit = 1 << new
         shift = new * (new - 1) // 2
-        joined = [tuple(_bits(mask)) for mask in range(1 << new)]
-        top = {rep[4]: index for index, rep in enumerate(level)}
+        top = {rep[3]: index for index, rep in enumerate(level)}
         # bucket of an invariant -> the packed edge set of the one class
         # emitted with it so far, or 0 once that class has been keyed
         buckets = {}
         seen = set()
         out = []
         count = 0
-        for index, (edges, adj, nbrs, triangles, invariant, packed) in enumerate(level):
+        for index, (edges, adj, triangles, invariant, packed) in enumerate(level):
             m = len(edges)
             # every later vertex adds at least one edge
             if max_edges is not None and m + 1 + (n - size) > max_edges:
                 continue
-            gens = _canonical_key(new, adj, nbrs, edges)[1]
+            gens = _canonical_key(adj)[1]
             for mask in _orbit_leaders(new, gens):
                 total = m + mask.bit_count()
                 if max_edges is not None and total + (n - size) > max_edges:
                     continue
                 cadj = [a | bit if mask >> u & 1 else a for u, a in enumerate(adj)]
                 cadj.append(mask)
-                cnbrs = [
-                    nb + (new,) if mask >> u & 1 else nb for u, nb in enumerate(nbrs)
-                ]
-                cnbrs.append(joined[mask])
+                ends = _BITS[mask]
                 # each edge inside the mask closes one triangle with the
                 # new vertex, counted here once from each end
                 ctriangles = triangles[:]
                 closed = 0
                 cinvariant = invariant
-                for u in joined[mask]:
+                for u in ends:
                     inside = (adj[u] & mask).bit_count()
-                    d = len(nbrs[u])
+                    d = adj[u].bit_count()
                     t = triangles[u]
                     cinvariant += _UNIT[d + 1][t + inside] - _UNIT[d][t]
                     ctriangles[u] = t + inside
                     closed += inside
                 ctriangles.append(closed >> 1)
-                cinvariant += _UNIT[len(joined[mask])][closed >> 1]
-                if _reached_earlier(top, index, cadj, cnbrs, ctriangles, cinvariant):
+                cinvariant += _UNIT[len(ends)][closed >> 1]
+                if _reached_earlier(top, index, cadj, ctriangles, cinvariant):
                     continue
-                cand = edges + tuple((u, new) for u in joined[mask])
+                cand = edges + tuple((u, new) for u in ends)
                 cpacked = packed | mask << shift
                 bucket = cinvariant % _BUCKET_PRIME
                 stored = buckets.get(bucket)
@@ -374,9 +379,9 @@ def enumerate_connected(n, max_edges=None):
                     buckets[bucket] = cpacked
                 else:
                     if stored:
-                        seen.add(_canonical_key(size, *_unpack(size, stored))[0])
+                        seen.add(_canonical_key(_unpack(size, stored))[0])
                         buckets[bucket] = 0
-                    key = _canonical_key(size, cadj, cnbrs, cand)[0]
+                    key = _canonical_key(cadj)[0]
                     if key in seen:
                         continue
                     seen.add(key)
@@ -384,7 +389,7 @@ def enumerate_connected(n, max_edges=None):
                     count += 1
                     yield Graph(size, list(cand))
                 else:
-                    out.append((cand, cadj, cnbrs, ctriangles, cinvariant, cpacked))
+                    out.append((cand, cadj, ctriangles, cinvariant, cpacked))
         if last and max_edges is None:
             assert count == CONNECTED_COUNTS[n], (
                 f"enumeration self-check failed at n={n}: {count}"

@@ -128,7 +128,8 @@ def verify_theorem(which, corpus, budget=10.0, jobs=None, descriptor=""):
 
     if jobs is None:
         jobs = os.cpu_count() or 1
-    if jobs > 1 and len(tasks) > 1:
+    jobs = min(jobs, len(tasks))
+    if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
             results = pool.map(_check_one, tasks)
     else:

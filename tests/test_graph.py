@@ -2,6 +2,7 @@
 
 import gc
 import pickle
+import random
 import tracemalloc
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import random_graph
 from strongedge import graph as graph_module
 from strongedge import (
     Graph,
@@ -222,7 +224,9 @@ def _reference_g6(n, edges):
 
 
 def test_graph6_encoding_matches_reference():
+    rng = random.Random(18)
     cases = [
+        (0, []),
         (1, []),
         (2, [(0, 1)]),
         oracles.cycle(5),
@@ -230,6 +234,10 @@ def test_graph6_encoding_matches_reference():
         oracles.star(6),
         oracles.petersen(),
         (62, [(0, 61), (30, 31)]),
+    ] + [
+        (n, list(random_graph(rng, n, p).edges))
+        for n in range(10, 63)
+        for p in (0.05, 0.5, 0.95)
     ]
     for n, edges in cases:
         g = Graph(n, edges)
@@ -297,6 +305,16 @@ def test_graph6_errors_carry_offsets():
     with pytest.raises(Graph6Error) as info:
         parse_graph6("A\u00e9")
     assert info.value.offset == 1
+    # nonzero padding is an error at the last data byte: n = 2 has one
+    # pair bit and five padding bits, n = 5 ten pair bits and two padding
+    with pytest.raises(Graph6Error, match="nonzero padding bits") as info:
+        parse_graph6("A" + chr(64))
+    assert info.value.offset == 1
+    with pytest.raises(Graph6Error, match="nonzero padding bits") as info:
+        parse_graph6("D" + chr(63) + chr(64))
+    assert info.value.offset == 2
+    # n = 4 fills its one data byte with six pair bits, so no padding
+    assert parse_graph6("C" + chr(63 + 63)) == Graph(*oracles.complete(4))
 
 
 def test_parse_edge_list():

@@ -152,13 +152,13 @@ def test_pre_test_keeps_the_stream(monkeypatch):
 def test_pre_test_needs_an_earlier_connected_remainder():
     # the path 0-1-2 with 2 the added vertex: without 1 it falls apart into
     # two isolated vertices, without 0 it is one edge
-    adj, nbrs = _adjacency(3, [(0, 1), (1, 2)])
+    adj = _adjacency(3, [(0, 1), (1, 2)])[0]
     unit = smallgraphs._UNIT
     path = 2 * unit[1][0] + unit[2][0]
     isolated, edge = 2 * unit[0][0], 2 * unit[1][0]
 
     def reached(top):
-        return smallgraphs._reached_earlier(top, 1, adj, nbrs, [0, 0, 0], path)
+        return smallgraphs._reached_earlier(top, 1, adj, [0, 0, 0], path)
 
     assert not reached({isolated: 0})
     assert reached({edge: 0})
@@ -206,7 +206,7 @@ def test_invariant_is_updated_exactly(monkeypatch):
         counts["removed"] += 1
         return False
 
-    def probe(top, index, adj, nbrs, triangles, invariant):
+    def probe(top, index, adj, triangles, invariant):
         n = len(adj)
         assert invariant == _invariant(adj, range(n))
         for _ in range(3):
@@ -217,7 +217,7 @@ def test_invariant_is_updated_exactly(monkeypatch):
                 for u in smallgraphs._bits(adj[v]):
                     moved[perm[v]] |= 1 << perm[u]
             assert _invariant(moved, range(n)) == invariant
-        assert not real(EveryParentEarlier(), index, adj, nbrs, triangles, invariant)
+        assert not real(EveryParentEarlier(), index, adj, triangles, invariant)
         counts["old vertices"] += n - 1
         # skipping nothing keeps the stream (test_pre_test_keeps_the_stream)
         return False
@@ -322,7 +322,7 @@ def _adjacency(n, edges):
 
 
 def _key_and_generators(n, edges):
-    return _canonical_key(n, *_adjacency(n, edges), list(edges))
+    return _canonical_key(_adjacency(n, edges)[0])
 
 
 def _key(n, edges):

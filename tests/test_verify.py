@@ -116,6 +116,35 @@ def test_parallel_equals_serial(corpus6):
     assert a._replace(wall_ms=0) == b._replace(wall_ms=0)
 
 
+def test_pool_has_no_more_workers_than_graphs(monkeypatch, corpus6):
+    sizes = []
+
+    class InProcessPool:
+        # records the requested size and maps here, starting no process
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items):
+            return list(map(func, items))
+
+    monkeypatch.setattr(strongedge.verify.multiprocessing, "Pool", InProcessPool)
+    three = [g for g in corpus6 if g.n <= 3][1:]
+    assert len(three) == 3
+    report = verify_theorem(1, three, jobs=8)
+    assert sizes == [3]
+    assert report._replace(wall_ms=0) == verify_theorem(1, three, jobs=1)._replace(
+        wall_ms=0
+    )
+    verify_theorem(1, three[:1], jobs=8)
+    assert sizes == [3]
+
+
 def test_report_json_shape(corpus6, tmp_path):
     corpus = _graphs_upto_5(corpus6)
     report = verify_theorem(1, corpus, jobs=1, descriptor="n<=5")
