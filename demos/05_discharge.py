@@ -57,7 +57,7 @@ def main():
     )
     matches = find_configurations(c5, Scheme.THETA7, labels5)
     print("\n5-cycle under theta7:")
-    for record in audit_negative(ledger5, c5, labels5, Scheme.THETA7, matches):
+    for record in audit_negative(ledger5, c5, matches):
         print(f"  vertex {record.vertex} ends at {record.final}; "
               f"patterns here: {', '.join(record.patterns)}")
 

@@ -239,7 +239,9 @@ def _cmd_discharge(args):
     ledger = apply_rules(
         g, labels, rules, initial_charges(g, target), scheme=scheme
     )
-    negatives = audit_negative(ledger, g, labels, scheme)
+    negatives = audit_negative(
+        ledger, g, find_configurations(g, scheme, labels)
+    )
     doc = {
         "target": _frac(target),
         "sum_initial": _frac(sum(ledger.initial.values())),

@@ -465,34 +465,27 @@ def k_colorable(cg, k, time_budget=10.0):
     return SolveResult(verdict, None, nodes, elapsed)
 
 
-def _greedy_clique(cg):
-    """A maximal clique in the conflict graph, grown from high degree."""
-    if cg.n == 0:
-        return ()
-    order = sorted(range(cg.n), key=lambda e: (-len(cg.sees[e]), e))
-    clique = [order[0]]
-    members = {order[0]}
-    for e in order[1:]:
-        se = set(cg.sees[e])
-        if members <= se:
-            clique.append(e)
-            members.add(e)
-    return tuple(sorted(clique))
+def _greedy_bounds(cg):
+    """Both greedy bounds from one descending-conflict-degree order.
 
-
-def _greedy_coloring(cg):
-    """First-fit coloring in descending conflict degree; an upper bound."""
+    Returns (clique size, color count, colors): a maximal clique grown
+    along the order is a lower bound, and first-fit coloring along the
+    same order (colors 1..count, per conflict vertex) an upper bound.
+    """
+    clique = set()
     colors = [0] * cg.n
-    order = sorted(range(cg.n), key=lambda e: (-len(cg.sees[e]), e))
     used_max = 0
-    for e in order:
-        taken = {colors[e2] for e2 in cg.sees[e] if colors[e2]}
+    for e in sorted(range(cg.n), key=lambda e: (-len(cg.sees[e]), e)):
+        se = cg.sees[e]
+        if clique.issubset(se):
+            clique.add(e)
+        taken = {colors[e2] for e2 in se if colors[e2]}
         col = 1
         while col in taken:
             col += 1
         colors[e] = col
         used_max = max(used_max, col)
-    return used_max, colors
+    return len(clique), used_max, colors
 
 
 class ChiResult(NamedTuple):
@@ -508,13 +501,13 @@ def chi_s_exact(cg, time_budget=10.0):
     """The minimum palette size, with a certificate coloring.
 
     Brackets with a greedy clique (lower) and first-fit coloring (upper),
-    then runs the exact decision procedure on increasing k.  On budget
-    exhaustion the bracketing interval found so far is reported.
+    both taken along one sort of the conflict vertices by descending
+    degree, then runs the exact decision procedure on increasing k.  On
+    budget exhaustion the bracketing interval found so far is reported.
     """
     if cg.n == 0:
         return ChiResult("OK", 0, 0, 0, PartialColoring.empty(0, 0), 0)
-    lb = len(_greedy_clique(cg))
-    ub, greedy_cols = _greedy_coloring(cg)
+    lb, ub, greedy_cols = _greedy_bounds(cg)
     start = time.monotonic()
     total_nodes = 0
     k = lb

@@ -5,7 +5,8 @@ fixed rational amounts from sender classes to neighboring receiver classes.
 The engine logs every transfer, preserves the total exactly (Fraction
 arithmetic throughout, never floats), and can audit the vertices left
 negative by pointing at the catalog structures found in their closed
-neighborhoods.
+neighborhoods.  The audit reads the matches its caller already found
+(`patterns.find_configurations`); this module never runs the matcher.
 
 A rule's receiver selector has one of two arities.  ALL_MATCHING sends the
 amount to every neighbor in the receiver classes.  ONE_DESIGNATED sends it
@@ -31,7 +32,6 @@ from .classes import (
     Scheme,
     scheme_labels,
 )
-from .patterns import find_configurations
 
 
 class Arity(enum.Enum):
@@ -63,7 +63,7 @@ class AuditRecord(NamedTuple):
 def initial_charges(g, target):
     """Charge degree(v) minus target for every vertex, as Fractions."""
     target = Fraction(target)
-    return {v: Fraction(g.degree(v)) - target for v in range(g.n)}
+    return {v: g.degree(v) - target for v in range(g.n)}
 
 
 _L = ClassLabel
@@ -181,7 +181,7 @@ def apply_rules(g, labels, rules, charges=None, scheme=None):
         initial = {v: Fraction(0) for v in range(g.n)}
     else:
         initial = {v: Fraction(charges[v]) for v in range(g.n)}
-    delta = {v: Fraction(0) for v in range(g.n)}
+    final = dict(initial)
     transfers = []
     for rule in rules:
         for v in range(g.n):
@@ -202,18 +202,17 @@ def apply_rules(g, labels, rules, charges=None, scheme=None):
                     [non_avoid[0]] if len(non_avoid) == 1 else [eligible[0]]
                 )
             for u in receivers:
-                delta[v] -= rule.amount
-                delta[u] += rule.amount
+                final[v] -= rule.amount
+                final[u] += rule.amount
                 transfers.append((rule.id, v, u, rule.amount))
     transfers.sort(key=lambda t: (t[0], t[1], t[2]))
-    final = {v: initial[v] + delta[v] for v in range(g.n)}
     assert sum(final.values(), Fraction(0)) == sum(
         initial.values(), Fraction(0)
     ), "transfers must conserve total charge"
     return ChargeLedger(initial, final, tuple(transfers))
 
 
-def audit_negative(ledger, g, labels, scheme, matches=None):
+def audit_negative(ledger, g, matches):
     """Vertices with negative final charge, each tied to nearby catalog hits.
 
     For every vertex whose final charge is below zero, report the ids of
@@ -221,17 +220,16 @@ def audit_negative(ledger, g, labels, scheme, matches=None):
     that is, patterns with a match that places some slot on the vertex or
     on one of its neighbors.  A nonempty pattern list names the local
     structures responsible; an empty list means the negativity has no
-    cataloged explanation.  Pass `matches` to reuse an existing
-    find_configurations result.  The matches are indexed by host vertex
-    once, so each negative vertex reads only its closed neighborhood.
+    cataloged explanation.  `matches` is the find_configurations result
+    for g under the ledger's labels and scheme.  The matches are indexed
+    by host vertex once, so each negative vertex reads only its closed
+    neighborhood.
     """
     negatives = sorted(
         v for v, charge in ledger.final.items() if charge < 0
     )
     if not negatives:
         return []
-    if matches is None:
-        matches = find_configurations(g, scheme, labels)
     hits_at = {}
     for m in matches:
         for _, h in m.assignment:

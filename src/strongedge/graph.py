@@ -78,12 +78,13 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             normalized.append((u, v) if u < v else (v, u))
         normalized.sort()
-        for i in range(1, len(normalized)):
-            if normalized[i] == normalized[i - 1]:
-                raise ValueError(f"duplicate edge {normalized[i]}")
         adj = [[] for _ in range(n)]
         incident = [[] for _ in range(n)]
         for eid, (u, v) in enumerate(normalized):
+            # sorted order puts a repeat right after its pair: v is then
+            # already the last neighbor u received
+            if adj[u] and adj[u][-1] == v:
+                raise ValueError(f"duplicate edge {(u, v)}")
             adj[u].append(v)
             adj[v].append(u)
             incident[u].append(eid)

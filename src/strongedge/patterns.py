@@ -326,16 +326,15 @@ def find_configurations(g, scheme, labels):
     for pattern in sorted(catalog(scheme), key=lambda pat: pat.id):
         names = [pv.name for pv in pattern.vertices]
         for vec in sorted(_find_assignments(pattern, nbrs, groups)):
-            mapping = dict(zip(names, vec))
+            assignment = tuple(zip(names, vec))
+            mapping = dict(assignment)
             assert match_satisfies(g, pattern, labels, mapping)
             witnesses = tuple(
                 (mapping[u], mapping[v]) if mapping[u] < mapping[v]
                 else (mapping[v], mapping[u])
                 for u, v in pattern.edges
             )
-            matches.append(
-                ConfigurationMatch(pattern.id, tuple(zip(names, vec)), witnesses)
-            )
+            matches.append(ConfigurationMatch(pattern.id, assignment, witnesses))
     return matches
 
 

@@ -78,20 +78,18 @@ def _check_one(task):
     theta = ore_degree(g)
     if theta > theta_cap:
         return ("filtered", g6)
+    target = scheme_target(scheme)
     mad, _ = mad_exact(g)
-    if mad >= scheme_target(scheme):
+    if mad >= target:
         return ("filtered", g6)
 
     labels = classify(g, scheme).labels
     matches = find_configurations(g, scheme, labels)
     found = tuple(sorted({m.pattern_id for m in matches}))
     ledger = apply_rules(
-        g,
-        labels,
-        builtin_ruleset(scheme),
-        initial_charges(g, scheme_target(scheme)),
+        g, labels, builtin_ruleset(scheme), initial_charges(g, target)
     )
-    negatives = tuple(audit_negative(ledger, g, labels, scheme, matches))
+    negatives = tuple(audit_negative(ledger, g, matches))
 
     res = chi_s_exact(build_conflict_graph(g), time_budget=budget)
     if res.status == "TIMEOUT":

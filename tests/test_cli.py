@@ -1,5 +1,6 @@
 """The command-line interface: subcommands, formats, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -295,6 +296,45 @@ def test_discharge_custom_rules(capsys, tmp_path):
         ["discharge", str(p), "--scheme", "theta7", "--rules", str(rules)],
     )
     assert code == 3 and "amount must be a rational" in err
+
+
+# the hosts whose discharge documents are pinned below, as (n, edges)
+_DISCHARGE_HOSTS = {
+    "c5": oracles.cycle(5),
+    "k34": oracles.complete_bipartite(3, 4),
+    "k44": oracles.complete_bipartite(4, 4),
+    "k4": oracles.complete(4),
+    "star6": oracles.star(6),
+    "petersen": oracles.petersen(),
+    "paw": (4, [(0, 1), (1, 2), (0, 2), (2, 3)]),
+}
+
+# sha256 of the 21 discharge documents, in the test's order
+_DISCHARGE_DIGEST = (
+    "9c06a1974b86513cf013419a288724990dc51708b410c7c8ecfd404f32a0ce28"
+)
+
+
+def test_discharge_documents_are_pinned(capsys, tmp_path):
+    # per host: built-in rules under theta7 and theta8, then a one-rule file
+    rules = tmp_path / "one.json"
+    rules.write_text(
+        json.dumps(
+            [{"id": "only", "sender": ["4"], "receiver": ["3A"], "amount": "1/11"}]
+        ),
+        encoding="utf-8",
+    )
+    runs = (["theta7"], ["theta8"], ["theta7", "--rules", str(rules)])
+    digest = hashlib.sha256()
+    for name, (n, edges) in _DISCHARGE_HOSTS.items():
+        p = tmp_path / f"{name}.edges"
+        text = f"n={n}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+        p.write_text(text, encoding="utf-8")
+        for run in runs:
+            code, out, err = _run(capsys, ["discharge", str(p), "--scheme", *run])
+            assert code == 0 and err == ""
+            digest.update(out.encode())
+    assert digest.hexdigest() == _DISCHARGE_DIGEST
 
 
 def test_verify_builtin_corpus(capsys):

@@ -14,6 +14,7 @@ from strongedge import (
     DischargeRule,
     Graph,
     Scheme,
+    THEOREMS,
     apply_rules,
     audit_negative,
     builtin_ruleset,
@@ -21,6 +22,8 @@ from strongedge import (
     find_configurations,
     initial_charges,
     load_ruleset,
+    mad_exact,
+    ore_degree,
     scheme_target,
 )
 
@@ -86,7 +89,8 @@ def test_petersen_flow_is_empty_and_negative():
     assert ledger.transfers == ()
     assert all(c == Fraction(-1, 11) for c in ledger.final.values())
     assert sum(ledger.final.values()) == Fraction(-10, 11)
-    records = audit_negative(ledger, g, labels, Scheme.THETA7)
+    matches = find_configurations(g, Scheme.THETA7, labels)
+    records = audit_negative(ledger, g, matches)
     assert [r.vertex for r in records] == list(range(10))
     known = {"deg3d-pair-low-support", "five-cycle-3d", "pan-3d"}
     for r in records:
@@ -115,7 +119,8 @@ def test_complete_bipartite_flow_and_final_values():
     for v in range(3, 7):
         assert ledger.final[v] == Fraction(3, 11)
     assert sum(ledger.final.values()) == Fraction(26, 11)
-    assert audit_negative(ledger, g, labels, Scheme.THETA7) == []
+    matches = find_configurations(g, Scheme.THETA7, labels)
+    assert audit_negative(ledger, g, matches) == []
 
 
 def _designation_ledger(labels):
@@ -218,19 +223,6 @@ def test_conservation_fuzz(rng):
             assert set(ledger.final) == set(range(g.n))
 
 
-def test_audit_accepts_precomputed_matches():
-    g = Graph(*oracles.petersen())
-    labels = classify(g, Scheme.THETA7).labels
-    ledger = apply_rules(
-        g, labels, builtin_ruleset(Scheme.THETA7),
-        charges=initial_charges(g, scheme_target(Scheme.THETA7)),
-    )
-    matches = find_configurations(g, Scheme.THETA7, labels)
-    direct = audit_negative(ledger, g, labels, Scheme.THETA7)
-    reused = audit_negative(ledger, g, labels, Scheme.THETA7, matches=matches)
-    assert direct == reused
-
-
 def _audit_oracle(ledger, g, matches):
     """audit_negative by its definition: for each negative vertex v, the
     ids of patterns with a match that places a slot inside N[v]."""
@@ -248,11 +240,27 @@ def _audit_oracle(ledger, g, matches):
     return out
 
 
+def _admitted(corpus, scheme):
+    """The corpus graphs the scheme's theorem admits, as verify filters."""
+    (cap,) = [c for s, c, _ in THEOREMS.values() if s is scheme]
+    target = scheme_target(scheme)
+    return [
+        g for g in corpus
+        if g.m and ore_degree(g) <= cap and mad_exact(g)[0] < target
+    ]
+
+
 @pytest.mark.parametrize("scheme", [Scheme.THETA7, Scheme.THETA8])
-def test_audit_matches_definition_on_random_hosts(rng, scheme):
+def test_audit_matches_definition_on_random_hosts(rng, corpus7, scheme):
+    # random hosts, the Petersen graph, and the sweep's own n <= 7 inputs
+    hosts = [
+        random_graph(rng, rng.randint(2, 12), rng.choice([0.2, 0.35, 0.5]))
+        for _ in range(40)
+    ]
+    hosts.append(Graph(*oracles.petersen()))
+    hosts += _admitted(corpus7, scheme)
     records = explained = 0
-    for _ in range(40):
-        g = random_graph(rng, rng.randint(2, 12), rng.choice([0.2, 0.35, 0.5]))
+    for g in hosts:
         labels = classify(g, scheme).labels
         ledger = apply_rules(
             g, labels, builtin_ruleset(scheme),
@@ -261,10 +269,7 @@ def test_audit_matches_definition_on_random_hosts(rng, scheme):
         )
         matches = find_configurations(g, scheme, labels)
         expected = _audit_oracle(ledger, g, matches)
-        direct = audit_negative(ledger, g, labels, scheme)
-        reused = audit_negative(ledger, g, labels, scheme, matches=matches)
-        assert [tuple(r) for r in direct] == expected
-        assert reused == direct
+        assert [tuple(r) for r in audit_negative(ledger, g, matches)] == expected
         records += len(expected)
         explained += sum(1 for r in expected if r[2])
     assert explained > 0 and records > explained

@@ -160,13 +160,16 @@ def test_graphs_built_across_a_clear_stay_equal(monkeypatch, fresh_table, rng):
 
 
 def test_rejects_malformed_edges():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^self-loop at vertex 0$"):
         Graph(3, [(0, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
         Graph(3, [(0, 1), (1, 0)])
-    with pytest.raises(ValueError):
+    # the first repeat in sorted order is the one named
+    with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
+        Graph(3, [(1, 2), (2, 1), (1, 0), (0, 1)])
+    with pytest.raises(ValueError, match=r"^edge \(0,3\) out of range for n=3$"):
         Graph(3, [(0, 3)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="vertex count must be nonnegative"):
         Graph(-1, [])
 
 
