@@ -180,7 +180,11 @@ def apply_rules(g, labels, rules, charges=None, scheme=None):
     if charges is None:
         initial = {v: Fraction(0) for v in range(g.n)}
     else:
-        initial = {v: Fraction(charges[v]) for v in range(g.n)}
+        # initial_charges already gives Fractions; convert anything else
+        initial = {}
+        for v in range(g.n):
+            c = charges[v]
+            initial[v] = c if isinstance(c, Fraction) else Fraction(c)
     final = dict(initial)
     transfers = []
     for rule in rules:

@@ -173,9 +173,6 @@ class ConflictGraph:
         """Number of conflict vertices (= host edge count)."""
         return len(self.sees)
 
-    def degree(self, e):
-        return len(self.sees[e])
-
     def __repr__(self):
         return f"ConflictGraph(edges={self.n})"
 

@@ -47,17 +47,18 @@ only, and that of C - w changes only at w and N(w): each neighbour u
 loses one degree and the triangles through u and w, one per common
 neighbour.
 
-A graph is held as one adjacency bitmask per vertex, beside the edge tuple
-its `Graph` is built from; `_BITS[mask]` lists a mask's vertices wherever a
-loop needs them.
+A graph is held as one adjacency bitmask per vertex, nothing else:
+`_BITS[mask]` lists a mask's vertices, and `_edges` lists the edges for the
+canonical key, the level's sort and each emitted `Graph`.
 
 Keys are computed lazily.  Candidates that survive the pre-test are
 bucketed by their invariant modulo a 64-bit prime.  Isomorphic graphs have
 equal invariants, and the reduction only merges buckets, so a candidate
 whose bucket is empty is a new class: it is emitted without a key, and the
-bucket keeps its edge set packed into one integer.  On the bucket's first
-collision the stored graph is unpacked and keyed, and from then on every
-candidate that lands there is keyed and checked against the keys seen.
+bucket keeps the parent's position and the mask that built it, as one
+integer.  On the bucket's first collision that graph is joined again and
+keyed, and from then on every candidate that lands there is keyed and
+checked against the keys seen.
 Either way a candidate is emitted exactly when no earlier candidate
 reached its class, so the stream is the one that keying every candidate
 gives.  A parent's automorphism generators come from its key, computed
@@ -71,7 +72,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .graph import _G6_PAIR, Graph
+from .graph import Graph
 
 # Connected simple graphs on 1..9 vertices, one count per order.  The
 # stream self-checks against these on exhaustion (full runs only).
@@ -173,6 +174,19 @@ def _refine(nbrs, color, cells):
     return color, cells
 
 
+def _edges(adj):
+    """Edges (u, v), u < v, of the bitmasks `adj`, by v then u (graph6's)."""
+    return [(u, v) for v, a in enumerate(adj) for u in _BITS[a & ~(-1 << v)]]
+
+
+def _join(adj, mask):
+    """`adj` with a new last vertex joined to the vertices in `mask`."""
+    bit = 1 << len(adj)
+    joined = [a | bit if mask >> u & 1 else a for u, a in enumerate(adj)]
+    joined.append(mask)
+    return joined
+
+
 def _canonical_key(adj):
     """Canonical key of a graph and generators of its automorphism group.
 
@@ -182,7 +196,7 @@ def _canonical_key(adj):
     """
     n = len(adj)
     nbrs = [_BITS[a] for a in adj]
-    edges = [(u, v) for v, a in enumerate(adj) for u in _BITS[a & ~(-1 << v)]]
+    edges = _edges(adj)
     best_key = None
     best = []  # orderings (vertex -> position) that reach best_key
     gens = []
@@ -301,19 +315,6 @@ def _reached_earlier(top, index, adj, triangles, invariant):
     return False
 
 
-def _unpack(n, packed):
-    """Adjacency bitmasks of the graph on n vertices with packed edge set
-    `packed`: vertex v's edges to lower vertices u are bits v(v - 1)/2 + u,
-    graph6's pair order, so its set bits, ascending, are the enumerator's
-    edge order."""
-    adj = [0] * n
-    for i in _bits(packed):
-        u, v = _G6_PAIR[i]
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return adj
-
-
 def enumerate_connected(n, max_edges=None):
     """Stream one representative per isomorphism class of connected graphs
     on exactly n vertices, optionally only those with at most max_edges
@@ -327,23 +328,21 @@ def enumerate_connected(n, max_edges=None):
     if n == 1:
         yield Graph(1, [])
         return
-    # representatives on `size - 1` vertices, sorted by edges: (edges, adj,
-    # triangles at each vertex, invariant, packed edge set)
-    level = [((), [0], [0], _UNIT[0][0], 0)]
+    # representatives on `size - 1` vertices, sorted by edges: (adj,
+    # triangles at each vertex, invariant)
+    level = [([0], [0], _UNIT[0][0])]
     for size in range(2, n + 1):
         last = size == n
         new = size - 1
-        bit = 1 << new
-        shift = new * (new - 1) // 2
-        top = {rep[3]: index for index, rep in enumerate(level)}
-        # bucket of an invariant -> the packed edge set of the one class
-        # emitted with it so far, or 0 once that class has been keyed
+        top = {rep[2]: index for index, rep in enumerate(level)}
+        # bucket of an invariant -> index << new | mask, the parent and mask
+        # of the one class emitted with it so far; 0 once that is keyed
         buckets = {}
         seen = set()
         out = []
         count = 0
-        for index, (edges, adj, triangles, invariant, packed) in enumerate(level):
-            m = len(edges)
+        for index, (adj, triangles, invariant) in enumerate(level):
+            m = sum(a.bit_count() for a in adj) >> 1
             # every later vertex adds at least one edge
             if max_edges is not None and m + 1 + (n - size) > max_edges:
                 continue
@@ -352,8 +351,7 @@ def enumerate_connected(n, max_edges=None):
                 total = m + mask.bit_count()
                 if max_edges is not None and total + (n - size) > max_edges:
                     continue
-                cadj = [a | bit if mask >> u & 1 else a for u, a in enumerate(adj)]
-                cadj.append(mask)
+                cadj = _join(adj, mask)
                 ends = _BITS[mask]
                 # each edge inside the mask closes one triangle with the
                 # new vertex, counted here once from each end
@@ -371,15 +369,14 @@ def enumerate_connected(n, max_edges=None):
                 cinvariant += _UNIT[len(ends)][closed >> 1]
                 if _reached_earlier(top, index, cadj, ctriangles, cinvariant):
                     continue
-                cand = edges + tuple((u, new) for u in ends)
-                cpacked = packed | mask << shift
                 bucket = cinvariant % _BUCKET_PRIME
                 stored = buckets.get(bucket)
                 if stored is None:
-                    buckets[bucket] = cpacked
+                    buckets[bucket] = index << new | mask
                 else:
                     if stored:
-                        seen.add(_canonical_key(_unpack(size, stored))[0])
+                        at, founder = divmod(stored, 1 << new)
+                        seen.add(_canonical_key(_join(level[at][0], founder))[0])
                         buckets[bucket] = 0
                     key = _canonical_key(cadj)[0]
                     if key in seen:
@@ -387,11 +384,11 @@ def enumerate_connected(n, max_edges=None):
                     seen.add(key)
                 if last:
                     count += 1
-                    yield Graph(size, list(cand))
+                    yield Graph(size, _edges(cadj))
                 else:
-                    out.append((cand, cadj, ctriangles, cinvariant, cpacked))
+                    out.append((cadj, ctriangles, cinvariant))
         if last and max_edges is None:
             assert count == CONNECTED_COUNTS[n], (
                 f"enumeration self-check failed at n={n}: {count}"
             )
-        level = sorted(out, key=lambda rep: rep[0])
+        level = sorted(out, key=lambda rep: _edges(rep[0]))

@@ -187,6 +187,15 @@ def test_zero_charges_give_pure_flow_ledger():
     assert ledger.final[0] == Fraction(-16, 33)  # sends 4 * 4/33
 
 
+def test_int_charges_come_back_as_fractions():
+    g = Graph(3, [(0, 1), (1, 2)])
+    kept = Fraction(1, 3)
+    ledger = apply_rules(g, {}, [], charges={0: -1, 1: kept, 2: 2})
+    assert ledger.initial == {0: Fraction(-1), 1: kept, 2: Fraction(2)}
+    assert all(type(c) is Fraction for c in ledger.initial.values())
+    assert ledger.initial[1] is kept
+
+
 def test_apply_rules_rejects_foreign_classes():
     g = Graph(2, [(0, 1)])
     rule = DischargeRule(

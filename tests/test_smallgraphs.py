@@ -18,7 +18,13 @@ from strongedge import (
     smallgraphs,
     to_graph6,
 )
-from strongedge.smallgraphs import _canonical_key, _orbit_leaders, _partition, _refine
+from strongedge.smallgraphs import (
+    _canonical_key,
+    _edges,
+    _orbit_leaders,
+    _partition,
+    _refine,
+)
 
 # labeled connected graphs on n vertices, for the Burnside cross-check
 _LABELED_CONNECTED = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
@@ -319,6 +325,15 @@ def _adjacency(n, edges):
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return adj, [tuple(u for u in range(n) if adj[v] >> u & 1) for v in range(n)]
+
+
+def test_edges_lists_graph6_pair_order():
+    # the canonical key, the level's sort and the emitted graphs all read
+    # the edges from the bitmasks: by larger end, then by smaller end
+    for n in range(1, 8):
+        for g in enumerate_connected(n):
+            pairs = sorted(g.edges, key=lambda e: (e[1], e[0]))
+            assert _edges(_adjacency(n, g.edges)[0]) == pairs
 
 
 def _key_and_generators(n, edges):
