@@ -39,9 +39,9 @@ from .classes import (
     THETA7_3C,
     THETA7_LABELS,
     THETA8_LABELS,
+    base_label,
     classify,
-    classify_theta7,
-    classify_theta8,
+    refine,
     scheme_labels,
     scheme_target,
 )
@@ -118,9 +118,9 @@ __all__ = [
     "THETA7_3C",
     "THETA7_LABELS",
     "THETA8_LABELS",
+    "base_label",
     "classify",
-    "classify_theta7",
-    "classify_theta8",
+    "refine",
     "scheme_labels",
     "scheme_target",
     # coloring

@@ -11,9 +11,18 @@ from strongedge import (
     ClassLabel,
     Graph,
     Scheme,
+    base_label,
     classify,
+    refine,
     scheme_labels,
     scheme_target,
+)
+from strongedge.classes import (
+    BASE,
+    LABEL_DEGREE,
+    THETA7_DEG3,
+    THETA8_DEG3,
+    THETA8_DEG4,
 )
 
 
@@ -105,6 +114,20 @@ def test_theta7_moderate_alone_warns():
     got = _labels(nxt, edges, Scheme.THETA7)
     assert got.labels[10] is ClassLabel.DEG3C_MODERATE
     assert any("side condition" in w and "vertex 10" in w for w in got.warnings)
+
+
+def test_theta7_side_condition_warnings_in_vertex_order():
+    # two lone moderate vertices, 3 and 10: each has a 4-neighbor and two
+    # 3-neighbors with leaves (UNCLASSIFIED); vertices 4..9 are isolated
+    edges = [(3, 0), (3, 1), (3, 2), (10, 11), (10, 12), (10, 13)]
+    edges, nxt = _pad(edges, 14, 0, 3)
+    edges, nxt = _pad(edges, nxt, 11, 3)
+    for three in (1, 2, 12, 13):
+        edges, nxt = _pad(edges, nxt, three, 2)
+    got = _labels(nxt, edges, Scheme.THETA7)
+    assert got.labels[3] is got.labels[10] is ClassLabel.DEG3C_MODERATE
+    side = [w for w in got.warnings if "side condition" in w]
+    assert [w.split(":")[0] for w in side] == ["vertex 3", "vertex 10"]
 
 
 def test_theta7_four_vertices_classified_by_degree_alone():
@@ -267,6 +290,33 @@ def test_classification_is_relabeling_invariant(corpus6, rng, scheme):
             assert got_h.labels[perm[v]] is got_g.labels[v]
 
 
+@pytest.mark.parametrize("scheme", [Scheme.THETA7, Scheme.THETA8])
+def test_labels_follow_from_neighbour_labels_alone(corpus7, scheme):
+    # the local rule round-trips: a vertex whose neighbours all carry
+    # proper labels gets its label back from its degree and those labels
+    checked = 0
+    for g in corpus7:
+        labels = classify(g, scheme).labels
+        for v in range(g.n):
+            nbr = [labels[u] for u in g.neighbors(v)]
+            if ClassLabel.UNCLASSIFIED in nbr:
+                continue
+            base, _ = base_label(scheme, g.degree(v), [LABEL_DEGREE[x] for x in nbr])
+            label, _ = refine(scheme, base, [BASE.get(x, x) for x in nbr])
+            assert label is labels[v], (g.edges, v)
+            checked += 1
+    assert checked > 0
+
+
+def test_degree_groups_are_pinned():
+    L = ClassLabel
+    assert THETA7_DEG3 == {
+        L.DEG3A, L.DEG3B, L.DEG3C_WEAK, L.DEG3C_MODERATE, L.DEG3C_STRONG, L.DEG3D
+    }
+    assert THETA8_DEG3 == {L.DEG3A, L.DEG3B_STRONG, L.DEG3B_WEAK, L.DEG3C, L.DEG3D}
+    assert THETA8_DEG4 == {L.DEG4A, L.DEG4B, L.DEG4C_STRONG, L.DEG4C_WEAK, L.DEG4D}
+
+
 def test_theorem_table():
     # theorem -> (scheme, Ore-degree cap, palette), held once
     assert THEOREMS == {1: (Scheme.THETA7, 7, 13), 2: (Scheme.THETA8, 8, 20)}
@@ -283,6 +333,10 @@ def test_scheme_tables():
     assert len(scheme_labels(Scheme.THETA8)) == 11
     with pytest.raises(ValueError):
         classify(Graph(1, []), "theta7")
+    with pytest.raises(ValueError):
+        base_label("theta7", 3, [3, 3, 3])
+    with pytest.raises(ValueError):
+        refine("theta8", ClassLabel.DEG4C_STRONG, [])
     # a bare string is not a scheme: every scheme table refuses it alike
     for name in ("theta7", "theta8", None):
         with pytest.raises(ValueError):
