@@ -28,6 +28,10 @@ class Scheme(enum.Enum):
     THETA7 = "theta7"
     THETA8 = "theta8"
 
+    # members are singletons compared by identity, so hash them by identity
+    # too, in C, not by Enum's Python-level hash of the member name
+    __hash__ = object.__hash__
+
 
 class ClassLabel(enum.Enum):
     # shared / theta7
@@ -50,6 +54,8 @@ class ClassLabel(enum.Enum):
     DEG4D = "4D"
     DEG5 = "5"
     UNCLASSIFIED = "unclassified"
+
+    __hash__ = object.__hash__  # as Scheme's: by identity, in C
 
 
 THETA7_LABELS = frozenset(

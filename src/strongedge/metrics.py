@@ -1,10 +1,15 @@
 """Exact sparseness metrics: Ore degree, maximum average degree, bound formulas.
 
 mad(G) is the maximum of 2|E(S)|/|S| over nonempty vertex subsets S.  It is
-computed by Dinkelbach iteration on Goldberg's min cut: from rho = m/n, each
-cut either finds a set S denser than rho, which sets rho = |E(S)|/|S|, or
+computed by Dinkelbach iteration on a min cut: from rho = m/n, each cut
+either finds a set S denser than rho, which sets rho = |E(S)|/|S|, or
 proves that no set beats rho.  rho rises strictly through the finitely many
-values |E(S)|/|S|, so it stops exactly at the maximum density.
+values |E(S)|/|S|, so it stops exactly at the maximum density.  The cut is
+Goldberg's density network (Goldberg 1984) with the flow that runs straight
+source -> v -> sink taken out: only each vertex's excess d(v) - 2*rho over
+the host edges is routed, which is Hakimi's orientation test (Hakimi 1965).
+Taking that flow out lowers every cut by the same constant, so the cuts,
+and the witness read from them, are Goldberg's.
 
 All rationals are ``fractions.Fraction``; nothing here ever rounds.
 """
@@ -97,13 +102,14 @@ class _Dinic:
         self.to = []
         self.cap = []
 
-    def add(self, u, v, c):
+    def add(self, u, v, c, back=0):
+        """Arc u->v of capacity c, paired with its reverse v->u of capacity back."""
         self.head[u].append(len(self.to))
         self.to.append(v)
         self.cap.append(c)
         self.head[v].append(len(self.to))
         self.to.append(u)
-        self.cap.append(0)
+        self.cap.append(back)
 
     def max_flow(self, s, t):
         head, to, cap = self.head, self.to, self.cap
@@ -168,24 +174,35 @@ class _Dinic:
 def _dense_subset(g, rho):
     """A vertex set S with |E(S)|/|S| > rho, or None if none exists.
 
-    Goldberg's network: source->v capacity m, v->sink capacity
-    m + 2*rho - d(v), and capacity 1 both ways across each edge, all scaled
-    by rho's denominator.  For the cut with source side {s} union S the
-    capacity is b*(n*m - 2(|E(S)| - rho*|S|)), so the min cut dips below
-    b*n*m exactly when some S beats density rho.
+    Goldberg's network with rho = a/b, scaled by b: source->v capacity
+    m*b, v->sink capacity m*b + 2a - d(v)*b, and b both ways across each
+    edge.  The cut with source side {s} union S has capacity
+    n*m*b - 2b(|E(S)| - rho*|S|), so it dips below n*m*b exactly when S
+    beats density rho.  Every path s->v->t is saturated first: that
+    leaves source->v with the excess (d(v)*b - 2a)+, v->sink with the
+    deficit (2a - d(v)*b)+, and lowers every cut's capacity by the same
+    constant n*m*b - (total excess).  So the minimum cuts, and the
+    smallest source side among them, are unchanged, and some S beats rho
+    exactly when the flow of this excess network stays below the total
+    excess (Hakimi's orientation test).  With no excess every vertex has
+    d(v) <= 2*rho, so no set beats rho and no network is built.
     """
-    n, m = g.n, g.m
+    n = g.n
     a, b = rho.numerator, rho.denominator
+    balance = [g.degree(v) * b - 2 * a for v in range(n)]
+    excess = sum(x for x in balance if x > 0)
+    if not excess:
+        return None
     s, t = n, n + 1
     net = _Dinic(n + 2)
-    for v in range(n):
-        net.add(s, v, m * b)
-        net.add(v, t, m * b + 2 * a - g.degree(v) * b)
+    for v, x in enumerate(balance):
+        if x > 0:
+            net.add(s, v, x)
+        elif x < 0:
+            net.add(v, t, -x)
     for u, v in g.edges:
-        net.add(u, v, b)
-        net.add(v, u, b)
-    flow = net.max_flow(s, t)
-    if flow >= n * m * b:
+        net.add(u, v, b, b)
+    if net.max_flow(s, t) == excess:
         return None
     side = net.min_cut_side(s)
     return tuple(v for v in range(n) if side[v])

@@ -18,8 +18,9 @@ host(i) < host(j) read off a stabilizer chain of the symmetry group
 step that places the later of its two slots, so the search emits only
 the lexicographically least placement of each symmetry orbit and never
 meets the others.  Per host, the vertex constraints are tested once per
-(degree, class label) signature.  Patterns also carry a replayable
-recipe: delete one host vertex, color what remains exactly with its
+(degree, class label) signature, and the host's neighbor sets, signature
+groups and candidate pools are integer bitmasks.  Patterns also carry a
+replayable recipe: delete one host vertex, color what remains exactly with its
 theorem's palette (read from `classes.THEOREMS`), optionally erase a few
 edge colors, then extend the coloring back over the missing edges.  A
 recipe is data over slot names, a tuple of `Case` values checked once
@@ -264,18 +265,22 @@ def _search_plan(pattern):
 def _find_assignments(pattern, nbrs, groups):
     """The constraint-satisfying slot vectors, one per pattern symmetry orbit.
 
-    `nbrs[h]` is the neighbor set of host vertex h and `groups` maps each
-    (degree, label) signature to the host vertices that carry it.  Each
-    vector kept is the lexicographically least of its orbit: the search
-    bounds a step's candidates by the symmetry conditions its slot closes.
+    `nbrs[h]` is the neighbor bitmask of host vertex h (bit u set when u
+    is adjacent to h) and `groups` maps each (degree, label) signature to
+    the bitmask of the host vertices that carry it.  A step's candidates
+    are one bitmask: the slot's pool, cut by the neighbor masks of its
+    adjacent placed slots, by the complements of its apart ones, by the
+    hosts already used, and by the symmetry conditions its slot closes,
+    which keep each vector the lexicographically least of its orbit.
+    Candidates are taken lowest bit first.
     """
     plan = _search_plan(pattern)
     cand = []
     for pv in pattern.vertices:
-        pool = set()
+        pool = 0
         for (deg, label), hosts in groups.items():
             if _vertex_ok(pv, deg, label):
-                pool.update(hosts)
+                pool |= hosts
         if not pool:
             return []
         cand.append(pool)
@@ -283,29 +288,28 @@ def _find_assignments(pattern, nbrs, groups):
     assign = [None] * p
     out = []
 
-    def bt(d):
+    def bt(d, used):
         if d == p:
             out.append(tuple(assign))
             return
         slot, adjacent, apart, above, below = plan[d]
-        pool = cand[slot]
+        pool = cand[slot] & ~used
         for j in adjacent:
-            pool = pool & nbrs[assign[j]]
+            pool &= nbrs[assign[j]]
         for j in apart:
-            pool = pool - nbrs[assign[j]]
+            pool &= ~nbrs[assign[j]]
         if above:
-            lo = max([assign[j] for j in above])
-            pool = [h for h in pool if h > lo]
+            pool &= -2 << max([assign[j] for j in above])
         if below:
-            hi = min([assign[j] for j in below])
-            pool = [h for h in pool if h < hi]
-        for h in pool:
-            if h not in assign:
-                assign[slot] = h
-                bt(d + 1)
+            pool &= (1 << min([assign[j] for j in below])) - 1
+        while pool:
+            bit = pool & -pool
+            pool ^= bit
+            assign[slot] = bit.bit_length() - 1
+            bt(d + 1, used | bit)
         assign[slot] = None
 
-    bt(0)
+    bt(0, 0)
     return out
 
 
@@ -317,11 +321,14 @@ def find_configurations(g, scheme, labels):
     host-vertex vector, the only one the search emits.  Output is sorted
     by (pattern id, that vector).
     """
-    nbrs = [frozenset(g.neighbors(h)) for h in range(g.n)]
+    nbrs = [0] * g.n
+    for u, v in g.edges:
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
     groups = {}
     for h in range(g.n):
         sig = (g.degree(h), labels.get(h, ClassLabel.UNCLASSIFIED))
-        groups.setdefault(sig, []).append(h)
+        groups[sig] = groups.get(sig, 0) | 1 << h
     matches = []
     for pattern in sorted(catalog(scheme), key=lambda pat: pat.id):
         names = [pv.name for pv in pattern.vertices]

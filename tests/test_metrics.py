@@ -16,6 +16,7 @@ from strongedge import (
     mad_upper_bound,
     ore_degree,
 )
+from strongedge.metrics import _Dinic
 
 
 def _graph(case):
@@ -83,6 +84,7 @@ def test_mad_exact_matches_bruteforce_on_corpus(corpus6):
         brute, _ = mad_bruteforce(g)
         assert value == brute
         assert _induced_average_degree(g, set(witness)) == value
+        assert witness == oracles.largest_densest_subset(g.n, list(g.edges))
 
 
 def test_mad_exact_matches_bruteforce_random(rng):
@@ -130,8 +132,42 @@ def test_mad_of_regular_graphs_is_the_degree():
         (oracles.complete_bipartite(3, 3), 3),
         (oracles.petersen(), 3),
     ]:
-        value, _ = mad_exact(_graph(case))
+        # no vertex has degree above 2 * m / n, so the first cut is skipped
+        # and the witness is the whole graph
+        value, witness = mad_exact(_graph(case))
         assert value == expect
+        assert witness == tuple(range(case[0]))
+
+
+def _path_network(two_way):
+    # s = 0 -> 1 - 2 - 3 -> t = 4, the middle arcs of capacity 2; as two
+    # one-way arcs each, or as one arc pair with capacity 2 both ways
+    net = _Dinic(5)
+    for u in (1, 2):
+        if two_way:
+            net.add(u, u + 1, 2, back=2)
+        else:
+            net.add(u, u + 1, 2)
+            net.add(u + 1, u, 2)
+    return net
+
+
+def test_dinic_two_way_arcs_carry_flow_either_way():
+    for s, t in ((0, 4), (4, 0)):
+        for two_way in (False, True):
+            net = _path_network(two_way)
+            net.add(s, 1 if s == 0 else 3, 5)
+            net.add(3 if t == 4 else 1, t, 1)
+            assert net.max_flow(s, t) == 1
+    # the cut behind the middle arcs: the same source side either way
+    sides = []
+    for two_way in (False, True):
+        net = _path_network(two_way)
+        net.add(0, 1, 5)
+        net.add(3, 4, 3)
+        assert net.max_flow(0, 4) == 2
+        sides.append(net.min_cut_side(0))
+    assert sides[0] == sides[1] == [True, True, False, False, False]
 
 
 def test_mad_matches_subset_oracle_on_extremal_pairs():

@@ -1,7 +1,9 @@
 """Configuration catalog: matching, deduplication, and recipe replay."""
 
 import collections
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -20,6 +22,7 @@ from strongedge import (
     is_valid_strong_coloring,
     match_satisfies,
     parse_graph6,
+    to_graph6,
     verify_reducibility,
 )
 from strongedge import patterns as patterns_module
@@ -223,6 +226,27 @@ def test_matcher_against_exhaustive_placement(rng, scheme):
         got = _match_keys(found)
         assert got == _brute_matches(g, scheme)
         assert len(got) == len(found)  # no duplicates survive
+
+
+# sha256 of the rows below, taken before the matcher's neighbor sets,
+# signature groups and candidate pools became bitmasks
+MATCH_COUNT = 18811
+MATCH_DIGEST = "c0dbaa136a58b2c45b773d34a7d3e45574ed79c267a70a31cb9a0f2a3ac4e74a"
+
+
+def test_matches_pinned(corpus7):
+    # every match of every connected graph with n <= 7 under both schemes,
+    # in find_configurations' order
+    rows = []
+    for g in corpus7:
+        for scheme in Scheme:
+            for m in find_configurations(g, scheme, classify(g, scheme).labels):
+                rows.append(
+                    [to_graph6(g), scheme.value, m.pattern_id, m.assignment,
+                     m.edge_witnesses]
+                )
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert (len(rows), digest) == (MATCH_COUNT, MATCH_DIGEST)
 
 
 def test_search_plans_follow_pattern_edges(rng):
