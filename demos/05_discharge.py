@@ -31,8 +31,7 @@ def main():
     target = scheme_target(Scheme.THETA7)
     labels = classify(k34, Scheme.THETA7).labels
     ledger = apply_rules(
-        k34, labels, builtin_ruleset(Scheme.THETA7),
-        initial_charges(k34, target), scheme=Scheme.THETA7,
+        k34, labels, builtin_ruleset(Scheme.THETA7), initial_charges(k34, target)
     )
     print("K(3,4) under theta7, target", target)
     print("transfers:", len(ledger.transfers), "- first three:")
@@ -52,8 +51,7 @@ def main():
     c5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
     labels5 = classify(c5, Scheme.THETA7).labels
     ledger5 = apply_rules(
-        c5, labels5, builtin_ruleset(Scheme.THETA7),
-        initial_charges(c5, target), scheme=Scheme.THETA7,
+        c5, labels5, builtin_ruleset(Scheme.THETA7), initial_charges(c5, target)
     )
     matches = find_configurations(c5, Scheme.THETA7, labels5)
     print("\n5-cycle under theta7:")
@@ -62,12 +60,13 @@ def main():
               f"patterns here: {', '.join(record.patterns)}")
 
     # Rule sets are data, so alternative schedules are one list away.
-    # Omitting the initial charges starts everyone at zero, which turns
-    # the ledger into a pure flow record.
+    # Starting every vertex at zero charge turns the ledger into a pure
+    # flow record: each final charge is the vertex's net intake.
     toy = [DischargeRule(id="toy", sender=frozenset({ClassLabel.DEG4}),
                          receiver=frozenset({ClassLabel.DEG3A}),
                          amount=Fraction(1, 11))]
-    toy_ledger = apply_rules(k34, labels, toy, scheme=Scheme.THETA7)
+    zeros = dict.fromkeys(range(k34.n), 0)
+    toy_ledger = apply_rules(k34, labels, toy, zeros)
     print("\ncustom one-rule schedule on K(3,4):",
           len(toy_ledger.transfers), "transfers;",
           "each 4-vertex sends a net", -toy_ledger.final[0])

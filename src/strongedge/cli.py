@@ -27,18 +27,12 @@ from .coloring import (
     is_valid_strong_coloring,
     k_colorable,
 )
-from .discharge import (
-    apply_rules,
-    audit_negative,
-    builtin_ruleset,
-    initial_charges,
-    load_ruleset,
-)
+from .discharge import builtin_ruleset, load_ruleset
 from .graph import build_conflict_graph, parse_edge_list, parse_graph6
 from .metrics import mad_exact, ore_degree
 from .patterns import find_configurations, verify_reducibility
 from .smallgraphs import MAX_N, enumerate_connected
-from .verify import _frac, report_to_json, verify_theorem
+from .verify import _frac, _scheme_stages, report_to_json, verify_theorem
 
 
 class _Parser(argparse.ArgumentParser):
@@ -144,7 +138,10 @@ def _cmd_color(args):
 
 def _cmd_check(args):
     g = _read_graph(args)
-    data = json.loads(Path(args.coloring).read_text(encoding="utf-8"))
+    try:
+        data = json.loads(Path(args.coloring).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError(f"{args.coloring}: JSON nested too deeply") from None
     k = None
     if isinstance(data, dict):
         k = data.get("k")
@@ -234,16 +231,9 @@ def _cmd_discharge(args):
         rules = load_ruleset(args.rules, scheme)
     else:
         rules = builtin_ruleset(scheme)
-    labels = classify(g, scheme).labels
-    target = scheme_target(scheme)
-    ledger = apply_rules(
-        g, labels, rules, initial_charges(g, target), scheme=scheme
-    )
-    negatives = audit_negative(
-        ledger, g, find_configurations(g, scheme, labels)
-    )
+    _, ledger, negatives = _scheme_stages(g, scheme, rules)
     doc = {
-        "target": _frac(target),
+        "target": _frac(scheme_target(scheme)),
         "sum_initial": _frac(sum(ledger.initial.values())),
         "sum_final": _frac(sum(ledger.final.values())),
         "vertices": [

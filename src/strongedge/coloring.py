@@ -377,7 +377,9 @@ def k_colorable(cg, k, time_budget=10.0):
         return SolveResult("SAT", PartialColoring.empty(k, 0), 0, 0)
     start = time.monotonic()
     sees = cg.sees
-    full = (2 << k) - 2  # bits 1..k
+    # bits 1..min(k, m): from m colors up every partial coloring extends,
+    # so the palette past m never decides Hall's test and need not be held
+    full = (2 << min(k, m)) - 2
     cliques = _hall_cliques(cg.base)
     # watch[e]: the cliques that meet e or an edge e sees, those that
     # coloring e can tighten.

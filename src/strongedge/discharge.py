@@ -163,28 +163,21 @@ def _validate_rules(rules, scheme):
             )
 
 
-def apply_rules(g, labels, rules, charges=None, scheme=None):
-    """Run the rules once; returns the full ledger.
+def apply_rules(g, labels, rules, charges):
+    """Run the rules once from the initial charge map; returns the ledger.
 
-    `charges` is the initial charge map (zero everywhere when omitted,
-    which reduces the ledger to a pure flow record).  When `scheme` is
-    given, every rule is first checked to reference only that scheme's
-    classes.  Unlabeled (UNCLASSIFIED) vertices never send and never
-    receive: no rule class matches them.
+    Unlabeled (UNCLASSIFIED) vertices never send and never receive: no
+    rule class matches them.  Rules are not checked against a scheme
+    here; `load_ruleset` checks those that come from outside.
 
     The transfer log is sorted by (rule id, sender, receiver), so equal
     inputs always produce byte-equal ledgers.
     """
-    if scheme is not None:
-        _validate_rules(rules, scheme)
-    if charges is None:
-        initial = {v: Fraction(0) for v in range(g.n)}
-    else:
-        # initial_charges already gives Fractions; convert anything else
-        initial = {}
-        for v in range(g.n):
-            c = charges[v]
-            initial[v] = c if isinstance(c, Fraction) else Fraction(c)
+    # initial_charges already gives Fractions; convert anything else
+    initial = {}
+    for v in range(g.n):
+        c = charges[v]
+        initial[v] = c if isinstance(c, Fraction) else Fraction(c)
     final = dict(initial)
     transfers = []
     for rule in rules:
@@ -261,13 +254,17 @@ def load_ruleset(source, scheme):
     * ``avoid`` (optional): class array, only meaningful with
       ``ONE_DESIGNATED``.
 
-    Any unknown class, class outside the scheme, malformed amount, or
-    duplicate id raises ValueError.
+    Any unknown class, class outside the scheme, malformed amount,
+    duplicate id, or JSON nested too deeply to parse raises ValueError.
     """
     if hasattr(source, "read"):
-        data = json.load(source)
+        name, text = getattr(source, "name", "ruleset"), source.read()
     else:
-        data = json.loads(Path(source).read_text(encoding="utf-8"))
+        name, text = str(source), Path(source).read_text(encoding="utf-8")
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{name}: JSON nested too deeply") from None
     if not isinstance(data, list):
         raise ValueError("ruleset file must hold a JSON array of rules")
     rules = []

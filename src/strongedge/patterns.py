@@ -97,11 +97,19 @@ class Case(NamedTuple):
 class ConfigurationMatch(NamedTuple):
     pattern_id: str
     assignment: tuple  # (slot name, host vertex) pairs, in slot order
-    edge_witnesses: tuple  # host edges realizing the pattern edges
 
     @property
     def mapping(self):
         return dict(self.assignment)
+
+    @property
+    def edge_witnesses(self):
+        """The host edges realizing the pattern edges, each (u, v), u < v."""
+        a = self.mapping
+        return tuple(
+            (a[u], a[v]) if a[u] < a[v] else (a[v], a[u])
+            for u, v in _pattern_by_id(self.pattern_id).edges
+        )
 
 
 class BoundCheck(NamedTuple):
@@ -334,14 +342,8 @@ def find_configurations(g, scheme, labels):
         names = [pv.name for pv in pattern.vertices]
         for vec in sorted(_find_assignments(pattern, nbrs, groups)):
             assignment = tuple(zip(names, vec))
-            mapping = dict(assignment)
-            assert match_satisfies(g, pattern, labels, mapping)
-            witnesses = tuple(
-                (mapping[u], mapping[v]) if mapping[u] < mapping[v]
-                else (mapping[v], mapping[u])
-                for u, v in pattern.edges
-            )
-            matches.append(ConfigurationMatch(pattern.id, assignment, witnesses))
+            assert match_satisfies(g, pattern, labels, dict(assignment))
+            matches.append(ConfigurationMatch(pattern.id, assignment))
     return matches
 
 

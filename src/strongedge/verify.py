@@ -66,6 +66,18 @@ class VerificationReport(NamedTuple):
     wall_ms: int
 
 
+def _scheme_stages(g, scheme, rules):
+    """(matches, ledger, negatives): classify g, find the catalog's
+    configurations, run `rules` from the charges of the scheme's mad
+    target, and audit the vertices left negative."""
+    labels = classify(g, scheme).labels
+    matches = find_configurations(g, scheme, labels)
+    ledger = apply_rules(
+        g, labels, rules, initial_charges(g, scheme_target(scheme))
+    )
+    return matches, ledger, tuple(audit_negative(ledger, g, matches))
+
+
 def _check_one(task):
     """Full pipeline for one connected graph; picklable for worker pools."""
     g, which, budget = task
@@ -78,18 +90,12 @@ def _check_one(task):
     theta = ore_degree(g)
     if theta > theta_cap:
         return ("filtered", g6)
-    target = scheme_target(scheme)
     mad, _ = mad_exact(g)
-    if mad >= target:
+    if mad >= scheme_target(scheme):
         return ("filtered", g6)
 
-    labels = classify(g, scheme).labels
-    matches = find_configurations(g, scheme, labels)
+    matches, _, negatives = _scheme_stages(g, scheme, builtin_ruleset(scheme))
     found = tuple(sorted({m.pattern_id for m in matches}))
-    ledger = apply_rules(
-        g, labels, builtin_ruleset(scheme), initial_charges(g, target)
-    )
-    negatives = tuple(audit_negative(ledger, g, matches))
 
     res = chi_s_exact(build_conflict_graph(g), time_budget=budget)
     if res.status == "TIMEOUT":

@@ -211,9 +211,7 @@ def test_criterion_05_charge_conservation_fuzz():
             n = rng.randint(1, 11)
             g = random_graph(rng, n, rng.choice((0.15, 0.3, 0.5)))
             labels = classify(g, scheme).labels
-            ledger = apply_rules(
-                g, labels, rules, initial_charges(g, target), scheme=scheme
-            )
+            ledger = apply_rules(g, labels, rules, initial_charges(g, target))
             total = Fraction(2 * g.m) - g.n * target
             assert sum(ledger.initial.values()) == total
             assert sum(ledger.final.values()) == total

@@ -246,6 +246,23 @@ def test_discharge(capsys, c5_edges):
         assert neg["patterns"] == ["deg2-bad-neighbor"]
 
 
+def test_check_rejects_deeply_nested_coloring(capsys, c5_edges, tmp_path):
+    # json's parser recurses once per level and would raise RecursionError
+    p = tmp_path / "coloring.json"
+    p.write_text("[" * 5000 + "]" * 5000, encoding="utf-8")
+    code, _, err = _run(capsys, ["check", c5_edges, "--coloring", str(p)])
+    assert code == 3 and "nested too deeply" in err and str(p) in err
+
+
+def test_discharge_rejects_deeply_nested_rules(capsys, c5_edges, tmp_path):
+    p = tmp_path / "rules.json"
+    p.write_text("[" * 5000 + "]" * 5000, encoding="utf-8")
+    code, _, err = _run(
+        capsys, ["discharge", c5_edges, "--scheme", "theta7", "--rules", str(p)]
+    )
+    assert code == 3 and "nested too deeply" in err and str(p) in err
+
+
 def test_discharge_custom_rules(capsys, tmp_path):
     p = tmp_path / "k34.edges"
     lines = [f"{u} {v}" for u, v in oracles.complete_bipartite(3, 4)[1]]

@@ -1,6 +1,7 @@
 """Coloring validity, lists, SDR, erase-and-extend, and the exact solver."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -356,6 +357,23 @@ def test_k_colorable_edge_cases():
     assert k_colorable(_cg((3, [])), 1).status == "SAT"
     with pytest.raises(ValueError):
         k_colorable(_cg(oracles.path(3)), 0)
+
+
+def test_k_colorable_huge_palette_holds_no_palette_mask():
+    # from m colors up every partial coloring extends, so a palette of
+    # 10**8 decides as k = m does, without a mask of 10**8 bits
+    cg = _cg(oracles.cycle(5))
+    tracemalloc.start()
+    try:
+        big = k_colorable(cg, 10**8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    small = k_colorable(cg, cg.n)
+    assert (big.status, big.coloring.colors, big.nodes) == (
+        small.status, small.coloring.colors, small.nodes,
+    )
 
 
 def test_k_colorable_timeout_is_reported():

@@ -24,10 +24,16 @@ from strongedge import (
     load_ruleset,
     mad_exact,
     ore_degree,
+    scheme_labels,
     scheme_target,
 )
 
 L = ClassLabel
+
+
+def _zeros(g):
+    """Zero initial charges: the ledger is then a pure flow record."""
+    return dict.fromkeys(range(g.n), 0)
 
 
 def test_builtin_ruleset_shape():
@@ -65,6 +71,14 @@ def test_builtin_ruleset_shape():
         builtin_ruleset("theta9")
 
 
+@pytest.mark.parametrize("scheme", [Scheme.THETA7, Scheme.THETA8])
+def test_builtin_ruleset_names_only_scheme_classes(scheme):
+    # apply_rules checks no scheme; the built-in rules must stay inside theirs
+    allowed = scheme_labels(scheme)
+    for r in builtin_ruleset(scheme):
+        assert r.sender | r.receiver | r.avoid <= allowed, r.id
+
+
 def test_initial_charges_values():
     g = Graph(*oracles.cycle(5))
     charges = initial_charges(g, Fraction(34, 11))
@@ -84,7 +98,6 @@ def test_petersen_flow_is_empty_and_negative():
         labels,
         builtin_ruleset(Scheme.THETA7),
         charges=initial_charges(g, scheme_target(Scheme.THETA7)),
-        scheme=Scheme.THETA7,
     )
     assert ledger.transfers == ()
     assert all(c == Fraction(-1, 11) for c in ledger.final.values())
@@ -107,7 +120,6 @@ def test_complete_bipartite_flow_and_final_values():
         labels,
         builtin_ruleset(Scheme.THETA7),
         charges=initial_charges(g, scheme_target(Scheme.THETA7)),
-        scheme=Scheme.THETA7,
     )
     assert ledger.transfers == tuple(
         ("T7.R1b", s, r, Fraction(4, 33))
@@ -133,7 +145,7 @@ def _designation_ledger(labels):
         Arity.ONE_DESIGNATED,
         frozenset({L.DEG3B}),
     )
-    return apply_rules(g, labels, [rule])
+    return apply_rules(g, labels, [rule], _zeros(g))
 
 
 def test_designation_prefers_unique_non_avoided():
@@ -170,18 +182,19 @@ def test_unclassified_vertices_are_inert():
     rule = DischargeRule(
         "Y", frozenset({L.DEG3D}), frozenset({L.DEG3D}), Fraction(1)
     )
-    ledger = apply_rules(g, {0: L.DEG3D, 1: L.UNCLASSIFIED}, [rule])
+    zeros = _zeros(g)
+    ledger = apply_rules(g, {0: L.DEG3D, 1: L.UNCLASSIFIED}, [rule], zeros)
     assert ledger.transfers == ()
-    ledger = apply_rules(g, {0: L.UNCLASSIFIED, 1: L.DEG3D}, [rule])
+    ledger = apply_rules(g, {0: L.UNCLASSIFIED, 1: L.DEG3D}, [rule], zeros)
     assert ledger.transfers == ()
-    ledger = apply_rules(g, {0: L.DEG3D}, [rule])  # missing = unlabeled
+    ledger = apply_rules(g, {0: L.DEG3D}, [rule], zeros)  # missing = unlabeled
     assert ledger.transfers == ()
 
 
 def test_zero_charges_give_pure_flow_ledger():
     g = Graph(*oracles.complete_bipartite(3, 4))
     labels = classify(g, Scheme.THETA7).labels
-    ledger = apply_rules(g, labels, builtin_ruleset(Scheme.THETA7))
+    ledger = apply_rules(g, labels, builtin_ruleset(Scheme.THETA7), _zeros(g))
     assert all(c == 0 for c in ledger.initial.values())
     assert sum(ledger.final.values()) == 0
     assert ledger.final[0] == Fraction(-16, 33)  # sends 4 * 4/33
@@ -196,22 +209,12 @@ def test_int_charges_come_back_as_fractions():
     assert ledger.initial[1] is kept
 
 
-def test_apply_rules_rejects_foreign_classes():
-    g = Graph(2, [(0, 1)])
-    rule = DischargeRule(
-        "Z", frozenset({L.DEG5}), frozenset({L.DEG3A}), Fraction(1)
-    )
-    with pytest.raises(ValueError, match="outside theta7"):
-        apply_rules(g, {}, [rule], scheme=Scheme.THETA7)
-    apply_rules(g, {}, [rule], scheme=Scheme.THETA8)  # fine there
-
-
 def test_transfer_log_is_canonically_sorted(rng):
     for scheme in (Scheme.THETA7, Scheme.THETA8):
         for _ in range(10):
             g = random_graph(rng, rng.randint(2, 8), 0.5)
             labels = classify(g, scheme).labels
-            ledger = apply_rules(g, labels, builtin_ruleset(scheme))
+            ledger = apply_rules(g, labels, builtin_ruleset(scheme), _zeros(g))
             keys = [(t[0], t[1], t[2]) for t in ledger.transfers]
             assert keys == sorted(keys)
 
@@ -224,7 +227,7 @@ def test_conservation_fuzz(rng):
             labels = classify(g, scheme).labels
             ledger = apply_rules(
                 g, labels, builtin_ruleset(scheme),
-                charges=initial_charges(g, target), scheme=scheme,
+                charges=initial_charges(g, target),
             )
             total = Fraction(2 * g.m) - g.n * target
             assert sum(ledger.initial.values()) == total
@@ -274,7 +277,6 @@ def test_audit_matches_definition_on_random_hosts(rng, corpus7, scheme):
         ledger = apply_rules(
             g, labels, builtin_ruleset(scheme),
             charges=initial_charges(g, scheme_target(scheme)),
-            scheme=scheme,
         )
         matches = find_configurations(g, scheme, labels)
         expected = _audit_oracle(ledger, g, matches)
@@ -353,3 +355,6 @@ def test_load_ruleset_errors():
         _load(json.dumps([dict(ok, arity="SOME")]))
     with pytest.raises(ValueError, match="outside theta7"):
         _load(json.dumps([dict(ok, receiver=["4A"])]))
+    # json's parser recurses once per level; too deep is a bad file
+    with pytest.raises(ValueError, match="nested too deeply"):
+        _load("[" * 100000)

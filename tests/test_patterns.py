@@ -583,16 +583,12 @@ def test_out_edges_may_reach_matched_slots():
 def test_replay_rejects_tampered_match():
     g = Graph(*oracles.complete(3))
     m = _first_match(g, Scheme.THETA7, "triangle")
-    bad = ConfigurationMatch(
-        "no-such-pattern", m.assignment, m.edge_witnesses
-    )
+    bad = ConfigurationMatch("no-such-pattern", m.assignment)
     with pytest.raises(ValueError):
         verify_reducibility(g, bad)
     slot0 = m.assignment[0][0]
     tampered = ConfigurationMatch(
-        m.pattern_id,
-        ((slot0, 99),) + m.assignment[1:],
-        m.edge_witnesses,
+        m.pattern_id, ((slot0, 99),) + m.assignment[1:]
     )
     with pytest.raises(ValueError):
         verify_reducibility(g, tampered)
