@@ -9,8 +9,9 @@ A strong edge-coloring is a proper vertex coloring of the conflict graph
   the uncolored edges has the i-th list of size at least i),
 * systems of distinct representatives by maximum flow on the mad
   solver's engine (``metrics._Dinic``), with a violating subfamily
-  from the minimum cut when none exists; it falls short of Hall's
-  condition by exactly the number of sets no matching covers,
+  when none exists, read from the minimum cut that the flow's last
+  breadth-first search finds; it falls short of Hall's condition by
+  exactly the number of sets no matching covers,
 * the erase-and-extend maneuver: uncolor chosen edges, then retry by
   same-color reuse, by SDR, or by plain greedy, in that order,
 * an exact decision procedure: branch and bound in DSATUR order (Brelaz
@@ -180,11 +181,11 @@ def hall_sdr(fam):
     Maximum flow on the unit network source -> set -> element -> sink
     (``metrics._Dinic``; sets in family order, elements ascending).  A
     flow through every set gives each set's representative by its
-    saturated arc.  Otherwise the sets on the source side of the minimum
-    cut are returned as the violator, with the size of their union.  By
-    Konig's argument that union is exactly the elements on the same side,
-    so the violator outnumbers its union by the number of sets that no
-    matching covers.
+    saturated arc.  Otherwise the sets that the flow's last breadth-first
+    search reaches, the source side of the minimum cut, are returned as
+    the violator, with the size of their union.  By Konig's argument that
+    union is exactly the elements on the same side, so the violator
+    outnumbers its union by the number of sets that no matching covers.
     """
     sets = fam.sets
     k, n = fam.k, len(sets)
@@ -193,21 +194,16 @@ def hall_sdr(fam):
     net = _Dinic(k + n + 2)
     for x in range(1, k + 1):
         net.add(x, t, 1)
+    arcs = []
     for i, members in enumerate(sets):
         net.add(s, k + 1 + i, 1)
-        for x in sorted(members):
-            net.add(k + 1 + i, x, 1)
-    matched = net.max_flow(s, t)
+        arcs.append([(net.add(k + 1 + i, x, 1), x) for x in sorted(members)])
+    matched, level = net.max_flow(s, t)
     if matched == n:
-        # head[set][0] is the reverse of the source arc; the rest lead
-        # to the set's elements, and exactly one of them carries flow
-        reps = tuple(
-            next(net.to[a] for a in net.head[k + 1 + i][1:] if not net.cap[a])
-            for i in range(n)
-        )
+        # exactly one of each set's element arcs carries flow
+        reps = tuple(next(x for a, x in row if not net.cap[a]) for row in arcs)
         return SDRResult(True, reps, None, None)
-    side = net.min_cut_side(s)
-    violator = tuple(i for i in range(n) if side[k + 1 + i])
+    violator = tuple(i for i in range(n) if level[k + 1 + i] >= 0)
     union = set().union(*(sets[i] for i in violator))
     assert len(violator) - len(union) == n - matched, "Konig deficiency"
     return SDRResult(False, None, violator, len(union))

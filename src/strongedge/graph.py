@@ -27,6 +27,9 @@ _shared = {}
 
 _G6_PAIR = [(u, v) for v in range(62) for u in range(v)]  # graph6 pair order
 
+# largest n an edge list may give: Graph keeps two lists per vertex, ~150 MB
+MAX_VERTICES = 10**6
+
 
 class Graph6Error(ValueError):
     """Malformed graph6 input; ``offset`` is the byte position at fault."""
@@ -293,7 +296,8 @@ def parse_edge_list(text):
     Lines hold ``u v`` with 0-based ids; blank lines and ``#`` comments are
     ignored; an optional first (non-comment) line ``n=<count>`` fixes the
     vertex count, otherwise n = 1 + max id.  Self-loops, duplicate edges,
-    and negative ids are rejected with the line number.
+    negative ids and counts, and any count or 1 + id above ``MAX_VERTICES``
+    are rejected with the line number, before any per-vertex list is built.
     """
     n_declared = None
     edges = []
@@ -308,8 +312,8 @@ def parse_edge_list(text):
                 n_declared = int(line[2:])
             except ValueError:
                 raise ValueError(f"line {lineno}: bad vertex count {line!r}")
-            if n_declared < 0:
-                raise ValueError(f"line {lineno}: negative vertex count")
+            if not 0 <= n_declared <= MAX_VERTICES:
+                raise ValueError(f"line {lineno}: n not in 0..{MAX_VERTICES}")
             first_content = False
             continue
         first_content = False
@@ -320,8 +324,8 @@ def parse_edge_list(text):
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise ValueError(f"line {lineno}: non-integer id in {raw!r}")
-        if u < 0 or v < 0:
-            raise ValueError(f"line {lineno}: negative vertex id")
+        if not (0 <= u < MAX_VERTICES and 0 <= v < MAX_VERTICES):
+            raise ValueError(f"line {lineno}: vertex id not in 0..{MAX_VERTICES - 1}")
         if u == v:
             raise ValueError(f"line {lineno}: self-loop at {u}")
         key = (u, v) if u < v else (v, u)

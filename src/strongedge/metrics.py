@@ -103,15 +103,22 @@ class _Dinic:
         self.cap = []
 
     def add(self, u, v, c, back=0):
-        """Arc u->v of capacity c, paired with its reverse v->u of capacity back."""
-        self.head[u].append(len(self.to))
+        """Arc u->v of capacity c, paired with its reverse v->u of capacity
+        back; returns the id of u->v, whose residual capacity is cap[id]."""
+        a = len(self.to)
+        self.head[u].append(a)
         self.to.append(v)
         self.cap.append(c)
-        self.head[v].append(len(self.to))
+        self.head[v].append(a + 1)
         self.to.append(u)
         self.cap.append(back)
+        return a
 
     def max_flow(self, s, t):
+        """(flow, level): a maximum s-t flow, and the levels of the last
+        breadth-first search, the one that found no augmenting path.  A
+        node is on the source side of the minimum cut nearest s exactly
+        when its level is >= 0."""
         head, to, cap = self.head, self.to, self.cap
         flow = 0
         while True:
@@ -125,7 +132,7 @@ class _Dinic:
                         level[v] = level[u] + 1
                         queue.append(v)
             if level[t] < 0:
-                return flow
+                return flow, level
             # Blocking flow by one walk over an explicit arc stack: advance
             # along the level graph; at t push the path's bottleneck and
             # restart from s; at a dead end retreat one arc and skip it.
@@ -157,19 +164,6 @@ class _Dinic:
                     u = to[path.pop() ^ 1]
                     it[u] += 1
 
-    def min_cut_side(self, s):
-        """Nodes reachable from s in the residual network after max_flow."""
-        seen = [False] * self.n
-        seen[s] = True
-        queue = [s]
-        for u in queue:
-            for a in self.head[u]:
-                v = self.to[a]
-                if self.cap[a] > 0 and not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-        return seen
-
 
 def _dense_subset(g, rho):
     """A vertex set S with |E(S)|/|S| > rho, or None if none exists.
@@ -184,8 +178,10 @@ def _dense_subset(g, rho):
     constant n*m*b - (total excess).  So the minimum cuts, and the
     smallest source side among them, are unchanged, and some S beats rho
     exactly when the flow of this excess network stays below the total
-    excess (Hakimi's orientation test).  With no excess every vertex has
-    d(v) <= 2*rho, so no set beats rho and no network is built.
+    excess (Hakimi's orientation test).  S is then that smallest source
+    side, the vertices the flow's last breadth-first search reaches.
+    With no excess every vertex has d(v) <= 2*rho, so no set beats rho
+    and no network is built.
     """
     n = g.n
     a, b = rho.numerator, rho.denominator
@@ -202,10 +198,10 @@ def _dense_subset(g, rho):
             net.add(v, t, -x)
     for u, v in g.edges:
         net.add(u, v, b, b)
-    if net.max_flow(s, t) == excess:
+    flow, level = net.max_flow(s, t)
+    if flow == excess:
         return None
-    side = net.min_cut_side(s)
-    return tuple(v for v in range(n) if side[v])
+    return tuple(v for v in range(n) if level[v] >= 0)
 
 
 def mad_exact(g):

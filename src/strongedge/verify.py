@@ -113,8 +113,8 @@ def verify_theorem(which, corpus, budget=10.0, jobs=None, descriptor=""):
 
     Disconnected graphs are rejected up front (counted in the report);
     connected ones either fail the hypothesis filter (listed as filtered)
-    or get a full record.  `jobs` sizes the worker pool; the default is
-    the available parallelism, and the result does not depend on it.
+    or get a full record.  `jobs` sizes the worker pool, at most the
+    available parallelism (the default); the result does not depend on it.
     """
     # bool and float keys equal to 1 or 2 pass a bare `in`, so check the type
     if type(which) is not int or which not in THEOREMS:
@@ -130,9 +130,8 @@ def verify_theorem(which, corpus, budget=10.0, jobs=None, descriptor=""):
             continue
         tasks.append((g, which, budget))
 
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    jobs = min(jobs, len(tasks))
+    cpus = os.cpu_count() or 1
+    jobs = min(cpus if jobs is None else jobs, cpus, len(tasks))
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
             results = pool.map(_check_one, tasks)

@@ -223,6 +223,29 @@ def test_configs_verify(capsys, tmp_path):
             assert b["ok"] is True and b["phase"] in ("pre", "post")
 
 
+# sha256 of `configs --verify` on the paw under theta8, time_ms removed
+_PAW_CONFIGS_DIGEST = (
+    "f225d5d087aafcefb553c23e1de223327bb11fee6ab63d7030495bdfd1eeb94b"
+)
+
+
+def test_configs_verify_document_is_pinned(capsys, tmp_path):
+    # three deg-outside-345 replays with OUT ceilings and a triangle-deg3,
+    # all four extended by an SDR
+    p = tmp_path / "paw.edges"
+    p.write_text("0 1\n1 2\n2 0\n2 3\n", encoding="utf-8")
+    code, docs = _json_out(
+        capsys, ["configs", str(p), "--scheme", "theta8", "--verify"]
+    )
+    assert code == 0
+    assert [item["reducibility"]["strategy"] for item in docs] == ["sdr"] * 4
+    assert sum(len(item["reducibility"]["bounds"]) for item in docs) == 5
+    for item in docs:
+        del item["reducibility"]["time_ms"]
+    text = json.dumps(docs, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == _PAW_CONFIGS_DIGEST
+
+
 def test_configs_requires_scheme(c5_edges):
     with pytest.raises(SystemExit) as exc:
         main(["configs", c5_edges])

@@ -1,7 +1,9 @@
 """Coloring validity, lists, SDR, erase-and-extend, and the exact solver."""
 
+import itertools
 import random
 import tracemalloc
+import types
 
 import pytest
 
@@ -9,6 +11,7 @@ import oracles
 from conftest import random_graph
 from strongedge import coloring
 from strongedge import (
+    ChiResult,
     Graph,
     PartialColoring,
     SetFamily,
@@ -30,6 +33,17 @@ _HARD_HOST = Graph(
         (0, 1), (0, 7), (0, 9), (0, 11), (1, 2), (1, 5), (1, 11), (2, 10),
         (3, 4), (3, 6), (3, 7), (3, 9), (3, 10), (4, 7), (4, 9), (4, 10),
         (6, 7), (6, 9), (7, 10), (8, 11),
+    ],
+)
+
+# a random host with the greedy bracket [8, 9], whose 8-colorability
+# refutation needs 1843 nodes: its first decision passes the 1024-node poll
+_SLOW_FIRST_HOST = Graph(
+    12,
+    [
+        (0, 4), (0, 6), (1, 2), (1, 5), (1, 7), (2, 5), (2, 9), (3, 7),
+        (3, 8), (3, 9), (4, 8), (4, 10), (5, 9), (6, 7), (6, 9), (8, 10),
+        (8, 11),
     ],
 )
 
@@ -444,3 +458,13 @@ def test_chi_timeout_reports_bracket():
     assert res.status == "TIMEOUT" and res.value is None
     assert (res.lower, res.upper) == (3, 4)
     assert res.coloring is None
+
+
+def test_chi_timeout_inside_a_decision(monkeypatch):
+    # a clock that reads one second later at each call: chi_s_exact hands
+    # the first decision half a second, and the poll at node 1024 sees one
+    ticks = itertools.count()
+    clock = types.SimpleNamespace(monotonic=lambda: next(ticks))
+    monkeypatch.setattr(coloring, "time", clock)
+    res = chi_s_exact(build_conflict_graph(_SLOW_FIRST_HOST), time_budget=1.5)
+    assert res == ChiResult("TIMEOUT", None, 8, 9, None, 1024)

@@ -298,6 +298,15 @@ def test_graph6_errors_carry_offsets():
         parse_graph6("DUWW")  # trailing garbage
     with pytest.raises(Graph6Error):
         parse_graph6("D")  # truncated bit field
+    with pytest.raises(Graph6Error, match="length byte 62 out of range") as info:
+        parse_graph6(chr(62))  # length byte below the printable range
+    assert info.value.offset == 0
+    with pytest.raises(Graph6Error, match="long-form") as info:
+        parse_graph6("~??~")  # the long form's n = 63
+    assert info.value.offset == 0
+    # the short form reaches n = 62 only
+    with pytest.raises(ValueError, match="requires n <= 62, got 63"):
+        to_graph6(Graph(63, []))
     err = None
     try:
         parse_graph6("DU" + chr(127))
@@ -328,3 +337,23 @@ def test_parse_edge_list():
     for bad in ("0 0\n", "0 1\n1 0\n", "0\n", "a b\n", "-1 2\n", "n=2\n0 3\n"):
         with pytest.raises(ValueError):
             parse_edge_list(bad)
+    with pytest.raises(ValueError, match=r"^line 2: bad vertex count 'n=five'$"):
+        parse_edge_list("# header\nn=five\n0 1\n")
+    with pytest.raises(ValueError, match=r"^line 1: n not in 0\.\.1000000$"):
+        parse_edge_list("n=-1\n")
+
+
+def test_edge_list_vertex_count_has_a_ceiling():
+    # one past the ceiling, declared or implied by an id, is refused with
+    # its line number before any per-vertex list is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^line 1: n not in 0\.\.1000000$"):
+            parse_edge_list(f"n={10**6 + 1}\n0 1\n")
+        with pytest.raises(ValueError, match=r"^line 2: vertex id not in 0\.\.999999$"):
+            parse_edge_list(f"0 1\n0 {10**6}\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert graph_module.MAX_VERTICES == 10**6

@@ -158,15 +158,16 @@ def test_dinic_two_way_arcs_carry_flow_either_way():
             net = _path_network(two_way)
             net.add(s, 1 if s == 0 else 3, 5)
             net.add(3 if t == 4 else 1, t, 1)
-            assert net.max_flow(s, t) == 1
+            assert net.max_flow(s, t)[0] == 1
     # the cut behind the middle arcs: the same source side either way
     sides = []
     for two_way in (False, True):
         net = _path_network(two_way)
         net.add(0, 1, 5)
         net.add(3, 4, 3)
-        assert net.max_flow(0, 4) == 2
-        sides.append(net.min_cut_side(0))
+        flow, level = net.max_flow(0, 4)
+        assert flow == 2
+        sides.append([x >= 0 for x in level])
     assert sides[0] == sides[1] == [True, True, False, False, False]
 
 

@@ -594,6 +594,25 @@ def test_replay_rejects_tampered_match():
         verify_reducibility(g, tampered)
 
 
+def test_match_satisfies_refuses_broken_placements():
+    # four-cycle-3d: x1 (a 3D) and the degree-3 slots x2, x3, x4 around a
+    # 4-cycle, x1 and x3 apart; pendant edges give 1, 2 and 3 degree 3
+    pattern = next(p for p in catalog(Scheme.THETA7) if p.id == "four-cycle-3d")
+    cycle = [(0, 1), (1, 2), (2, 3), (3, 0)]
+    host = Graph(8, cycle + [(1, 4), (2, 5), (3, 6)])
+    labels = {0: ClassLabel.DEG3D}
+    place = {"x1": 0, "x2": 1, "x3": 2, "x4": 3}
+    assert match_satisfies(host, pattern, labels, place)
+    missing = {slot: h for slot, h in place.items() if slot != "x4"}
+    assert not match_satisfies(host, pattern, labels, missing)
+    assert not match_satisfies(host, pattern, labels, {**place, "x4": 1})
+    assert not match_satisfies(host, pattern, {}, place)  # x1 not a 3D
+    no_edge = Graph(8, cycle[:3] + [(1, 4), (2, 5), (3, 6), (3, 7)])
+    assert not match_satisfies(no_edge, pattern, labels, place)
+    chord = Graph(8, cycle + [(1, 4), (3, 6), (0, 2)])
+    assert not match_satisfies(chord, pattern, labels, place)
+
+
 def _union(a_case, b_case):
     an, aedges = a_case
     bn, bedges = b_case

@@ -116,11 +116,13 @@ def test_parallel_equals_serial(corpus6):
     assert a._replace(wall_ms=0) == b._replace(wall_ms=0)
 
 
-def test_pool_has_no_more_workers_than_graphs(monkeypatch, corpus6):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The sizes of the pools verify_theorem asks for; each maps in this
+    process and starts no worker."""
     sizes = []
 
     class InProcessPool:
-        # records the requested size and maps here, starting no process
         def __init__(self, size):
             sizes.append(size)
 
@@ -134,15 +136,31 @@ def test_pool_has_no_more_workers_than_graphs(monkeypatch, corpus6):
             return list(map(func, items))
 
     monkeypatch.setattr(strongedge.verify.multiprocessing, "Pool", InProcessPool)
+    return sizes
+
+
+def test_pool_has_no_more_workers_than_graphs(monkeypatch, pool_sizes, corpus6):
+    monkeypatch.setattr(strongedge.verify.os, "cpu_count", lambda: 64)
     three = [g for g in corpus6 if g.n <= 3][1:]
     assert len(three) == 3
     report = verify_theorem(1, three, jobs=8)
-    assert sizes == [3]
+    assert pool_sizes == [3]
     assert report._replace(wall_ms=0) == verify_theorem(1, three, jobs=1)._replace(
         wall_ms=0
     )
     verify_theorem(1, three[:1], jobs=8)
-    assert sizes == [3]
+    assert pool_sizes == [3]
+
+
+def test_pool_has_no_more_workers_than_cpus(monkeypatch, pool_sizes, corpus6):
+    monkeypatch.setattr(strongedge.verify.os, "cpu_count", lambda: 2)
+    five = [g for g in corpus6 if g.n <= 4][:5]
+    assert len(five) == 5
+    report = verify_theorem(1, five, jobs=10**6)
+    assert pool_sizes == [2]
+    assert report._replace(wall_ms=0) == verify_theorem(1, five, jobs=1)._replace(
+        wall_ms=0
+    )
 
 
 def test_report_json_shape(corpus6, tmp_path):
