@@ -82,6 +82,7 @@ from .discharge import (
     builtin_ruleset,
     initial_charges,
     load_ruleset,
+    receivers,
 )
 from .smallgraphs import CONNECTED_COUNTS, MAX_N, enumerate_connected
 from .verify import (
@@ -158,6 +159,7 @@ __all__ = [
     "builtin_ruleset",
     "initial_charges",
     "load_ruleset",
+    "receivers",
     # smallgraphs
     "CONNECTED_COUNTS",
     "MAX_N",

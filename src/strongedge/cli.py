@@ -55,15 +55,36 @@ def _read_graph(args):
             raise ValueError(
                 f"cannot infer format from {path.name!r}; pass --format"
             )
-    text = path.read_text(encoding="utf-8")
     if fmt == "edges":
-        return parse_edge_list(text)
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) != 1:
+        return parse_edge_list(path.read_text(encoding="utf-8"))
+    return _read_graph6(path, one=True)[0]
+
+
+def _read_graph6(path, one=False):
+    """The graphs of a graph6 file, one per nonblank line.
+
+    With `one`, the file must hold exactly one such line, counted before
+    any is parsed.  A malformed line's error names the file and the line's
+    1-based number.
+    """
+    lines = [
+        (lineno, ln)
+        for lineno, ln in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), start=1
+        )
+        if ln.strip()
+    ]
+    if one and len(lines) != 1:
         raise ValueError(
             f"{path.name}: expected exactly one graph6 line, found {len(lines)}"
         )
-    return parse_graph6(lines[0])
+    graphs = []
+    for lineno, ln in lines:
+        try:
+            graphs.append(parse_graph6(ln))
+        except ValueError as exc:
+            raise ValueError(f"{path.name}: line {lineno}: {exc}") from None
+    return graphs
 
 
 def _emit(doc, out):
@@ -271,11 +292,7 @@ def _cmd_verify(args):
         descriptor = f"builtin connected graphs n<={args.max_n}"
     else:
         path = Path(args.corpus)
-        corpus = [
-            parse_graph6(ln)
-            for ln in path.read_text(encoding="utf-8").splitlines()
-            if ln.strip()
-        ]
+        corpus = _read_graph6(path)
         descriptor = str(path)
     report = verify_theorem(
         args.theorem,

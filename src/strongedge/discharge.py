@@ -7,12 +7,7 @@ arithmetic throughout, never floats), and can audit the vertices left
 negative by pointing at the catalog structures found in their closed
 neighborhoods.  The audit reads the matches its caller already found
 (`patterns.find_configurations`); this module never runs the matcher.
-
-A rule's receiver selector has one of two arities.  ALL_MATCHING sends the
-amount to every neighbor in the receiver classes.  ONE_DESIGNATED sends it
-to exactly one of them: the unique eligible neighbor outside the rule's
-avoid classes when there is exactly one such, otherwise the smallest-id
-eligible neighbor.  That tie-break is a fixed, deterministic choice.
+Whom one application of a rule pays is decided by `receivers` alone.
 """
 
 from __future__ import annotations
@@ -163,6 +158,23 @@ def _validate_rules(rules, scheme):
             )
 
 
+def receivers(rule, labels):
+    """Positions in `labels` that one application of `rule` pays.
+
+    `labels` holds a sender's neighbor labels in id order, None for an
+    unlabeled one; a position is eligible when its label is among the
+    rule's receiver classes.  ALL_MATCHING pays every eligible position.
+    ONE_DESIGNATED pays one: the sole eligible position outside the avoid
+    classes if exactly one exists, otherwise the first eligible position
+    (a fixed, deterministic tie-break).  No eligible position, no payment.
+    """
+    eligible = [i for i, lab in enumerate(labels) if lab in rule.receiver]
+    if rule.arity is Arity.ALL_MATCHING or not eligible:
+        return eligible
+    free = [i for i in eligible if labels[i] not in rule.avoid]
+    return free if len(free) == 1 else eligible[:1]
+
+
 def apply_rules(g, labels, rules, charges):
     """Run the rules once from the initial charge map; returns the ledger.
 
@@ -184,21 +196,9 @@ def apply_rules(g, labels, rules, charges):
         for v in range(g.n):
             if labels.get(v) not in rule.sender:
                 continue
-            eligible = [
-                u for u in g.neighbors(v) if labels.get(u) in rule.receiver
-            ]
-            if not eligible:
-                continue
-            if rule.arity is Arity.ALL_MATCHING:
-                receivers = eligible
-            else:
-                non_avoid = [
-                    u for u in eligible if labels.get(u) not in rule.avoid
-                ]
-                receivers = (
-                    [non_avoid[0]] if len(non_avoid) == 1 else [eligible[0]]
-                )
-            for u in receivers:
+            near = g.neighbors(v)
+            for i in receivers(rule, [labels.get(u) for u in near]):
+                u = near[i]
                 final[v] -= rule.amount
                 final[u] += rule.amount
                 transfers.append((rule.id, v, u, rule.amount))

@@ -290,14 +290,24 @@ def to_graph6(g):
     return g._graph6
 
 
+def _decimal(text):
+    """int(text) for an optional ``-`` and ASCII digits only; int() alone
+    also takes ``+``, ``_``, whitespace and other scripts' digits."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an ASCII decimal: {text!r}")
+    return int(text)
+
+
 def parse_edge_list(text):
     """Parse the plain edge-list format.
 
     Lines hold ``u v`` with 0-based ids; blank lines and ``#`` comments are
     ignored; an optional first (non-comment) line ``n=<count>`` fixes the
-    vertex count, otherwise n = 1 + max id.  Self-loops, duplicate edges,
-    negative ids and counts, and any count or 1 + id above ``MAX_VERTICES``
-    are rejected with the line number, before any per-vertex list is built.
+    vertex count, otherwise n = 1 + max id.  Ids and the count are ASCII
+    decimal.  Self-loops, duplicate edges, negative ids and counts, and any
+    count or 1 + id above ``MAX_VERTICES`` are rejected with the line
+    number, before any per-vertex list is built.
     """
     n_declared = None
     edges = []
@@ -309,7 +319,7 @@ def parse_edge_list(text):
             continue
         if first_content and line.startswith("n="):
             try:
-                n_declared = int(line[2:])
+                n_declared = _decimal(line[2:].strip())
             except ValueError:
                 raise ValueError(f"line {lineno}: bad vertex count {line!r}")
             if not 0 <= n_declared <= MAX_VERTICES:
@@ -321,7 +331,7 @@ def parse_edge_list(text):
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'u v', got {raw!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _decimal(parts[0]), _decimal(parts[1])
         except ValueError:
             raise ValueError(f"line {lineno}: non-integer id in {raw!r}")
         if not (0 <= u < MAX_VERTICES and 0 <= v < MAX_VERTICES):

@@ -343,12 +343,11 @@ def enumerate_connected(n, max_edges=None):
         count = 0
         for index, (adj, triangles, invariant) in enumerate(level):
             m = sum(a.bit_count() for a in adj) >> 1
-            # every later vertex adds at least one edge
-            if max_edges is not None and m + 1 + (n - size) > max_edges:
-                continue
             gens = _canonical_key(adj)[1]
             for mask in _orbit_leaders(new, gens):
                 total = m + mask.bit_count()
+                # every later vertex adds at least one edge (each parent
+                # passed this test as a candidate one level down)
                 if max_edges is not None and total + (n - size) > max_edges:
                     continue
                 cadj = _join(adj, mask)

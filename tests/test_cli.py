@@ -82,6 +82,16 @@ def test_graph6_file_must_hold_one_graph(capsys, tmp_path):
     p.write_text("D?\nD?\n", encoding="utf-8")
     code, _, err = _run(capsys, ["metrics", str(p)])
     assert code == 3 and "exactly one graph6 line" in err
+    p.write_text("\nA\u00e9\n", encoding="utf-8")
+    code, _, err = _run(capsys, ["metrics", str(p)])
+    assert code == 3 and err.startswith("error: two.g6: line 2: ")
+
+
+def test_edge_list_ids_are_ascii_decimal(capsys, tmp_path):
+    p = tmp_path / "arabic.edges"
+    p.write_text("0 1\n1 \u0663\n", encoding="utf-8")
+    code, _, err = _run(capsys, ["metrics", str(p)])
+    assert code == 3 and err.startswith("error: line 2: non-integer id in ")
 
 
 def test_missing_file(capsys, tmp_path):
@@ -438,6 +448,12 @@ def test_verify_argument_errors(capsys, tmp_path):
     bad.write_text("A_\nA\u00e9\n", encoding="utf-8")
     code, _, err = _run(capsys, ["verify", "--theorem", "1", "--corpus", str(bad)])
     assert code == 3 and "not ASCII" in err
+    assert "\nerror: bad.g6: line 2: character " in err
+    # blank lines count toward the number
+    bad.write_text("A_\n\nC~~\n", encoding="utf-8")
+    code, _, err = _run(capsys, ["verify", "--theorem", "1", "--corpus", str(bad)])
+    assert code == 3
+    assert err == "error: bad.g6: line 3: trailing bytes after graph data (byte 2)\n"
 
 
 def test_verify_exit_2_on_failure(capsys, monkeypatch):

@@ -226,6 +226,29 @@ def test_erase_and_extend_same_color():
     assert is_valid_strong_coloring(cg, out.coloring)[0]
 
 
+def test_erase_and_extend_same_color_records_a_pair_without_shared_colors():
+    # erased edges 1=(0,4) and 2=(1,5) do not see each other, but (0,4)
+    # can take only colour 2 and (1,5) only colour 1
+    cg = build_conflict_graph(Graph(6, [(0, 3), (0, 4), (1, 5), (2, 5)]))
+    c = PartialColoring(2, [1, 2, 1, 2])
+    out = erase_and_extend(cg, c, [2, 1], [])
+    assert out.diagnostics["attempts"] == [
+        {"strategy": "same_color", "pair": [1, 2], "shared_colors": []}
+    ]
+    assert out.ok and out.strategy == "sdr"
+    assert out.coloring.colors == [1, 2, 1, 2]
+
+
+def test_erase_and_extend_same_color_skips_a_seeing_pair():
+    # the path's two edges see each other: no pair is tried, none recorded
+    cg = _cg(oracles.path(3))
+    c = PartialColoring(2, [1, 2])
+    out = erase_and_extend(cg, c, [0, 1], [])
+    assert out.diagnostics["attempts"] == []
+    assert out.ok and out.strategy == "sdr"
+    assert out.coloring.colors == [1, 2]
+
+
 def test_erase_and_extend_sdr():
     # single erased edge: no pair to reuse, SDR fires first
     cg = _cg(oracles.star(3))

@@ -1,6 +1,8 @@
 """Charge initialization, rule application, designation, audit, rule files."""
 
+import hashlib
 import io
+import itertools
 import json
 from fractions import Fraction
 
@@ -15,6 +17,7 @@ from strongedge import (
     Graph,
     Scheme,
     THEOREMS,
+    THETA7_LABELS,
     apply_rules,
     audit_negative,
     builtin_ruleset,
@@ -24,8 +27,10 @@ from strongedge import (
     load_ruleset,
     mad_exact,
     ore_degree,
+    receivers,
     scheme_labels,
     scheme_target,
+    to_graph6,
 )
 
 L = ClassLabel
@@ -177,6 +182,66 @@ def test_designation_without_eligible_sends_nothing():
     assert all(c == 0 for c in ledger.final.values())
 
 
+def _builtin(rule_id):
+    (rule,) = [r for r in builtin_ruleset(Scheme.THETA7) if r.id == rule_id]
+    return rule
+
+
+def test_receivers_all_matching_pays_every_eligible():
+    rule = DischargeRule(
+        "A", frozenset({L.DEG4}), frozenset({L.DEG2, L.DEG3D}), Fraction(1)
+    )
+    labels = [L.DEG2, L.DEG4, None, L.DEG3D, L.UNCLASSIFIED, L.DEG2]
+    assert receivers(rule, labels) == [0, 3, 5]
+    assert receivers(rule, [L.DEG4, None]) == []
+    assert receivers(rule, []) == []
+
+
+def test_receivers_one_designated():
+    r3 = _builtin("T7.R3")  # receivers: every 3-class; avoids 3B
+    # one free neighbor: it is paid, wherever it stands
+    assert receivers(r3, [L.DEG3B, L.DEG4, L.DEG3D]) == [2]
+    # several free: the first eligible, avoided or not
+    assert receivers(r3, [L.DEG4, L.DEG3B, L.DEG3D, L.DEG3A]) == [1]
+    # none free: the first eligible
+    assert receivers(r3, [L.DEG2, L.DEG3B, L.DEG3B]) == [1]
+    # none eligible
+    assert receivers(r3, [L.DEG2, L.DEG4, L.UNCLASSIFIED]) == []
+    # an unlabeled neighbor is neither eligible nor free
+    assert receivers(r3, [None, L.DEG3B, L.DEG3D]) == [2]
+    assert receivers(r3, [None]) == []
+
+
+@pytest.mark.parametrize("rule_id", ["T7.R3", "T7.R4"])
+def test_designated_neighbor_paid_in_every_order_iff_paid_last(rule_id):
+    # a neighbor c of a sender is paid whatever the ids of the sender's
+    # other neighbors exactly when it is paid while placed last, and that
+    # is when c is the sole eligible neighbor or the sole one outside the
+    # avoid classes: the worst case a certifier reads from `receivers`
+    rule = _builtin(rule_id)
+    pool = sorted(THETA7_LABELS | {L.UNCLASSIFIED}, key=lambda lab: lab.value)
+    cases = paid = 0
+    for size in range(4):
+        for others in itertools.combinations_with_replacement(pool, size):
+            for c in pool:
+                star = [*others, c]
+                last = size in receivers(rule, star)
+                always = all(
+                    order.index(size)
+                    in receivers(rule, [star[i] for i in order])
+                    for order in itertools.permutations(range(size + 1))
+                )
+                eligible = [lab for lab in star if lab in rule.receiver]
+                free = [lab for lab in eligible if lab not in rule.avoid]
+                sole = c in rule.receiver and (
+                    len(eligible) == 1 or (c not in rule.avoid and len(free) == 1)
+                )
+                assert always == last == sole, (others, c)
+                cases += 1
+                paid += sole
+    assert cases == 1980 and 0 < paid < cases
+
+
 def test_unclassified_vertices_are_inert():
     g = Graph(2, [(0, 1)])
     rule = DischargeRule(
@@ -198,6 +263,33 @@ def test_zero_charges_give_pure_flow_ledger():
     assert all(c == 0 for c in ledger.initial.values())
     assert sum(ledger.final.values()) == 0
     assert ledger.final[0] == Fraction(-16, 33)  # sends 4 * 4/33
+
+
+# the ledger of every connected graph with n <= 7 under both schemes, from
+# the scheme's target: its transfer count and the digest of its charges and
+# transfers, taken before `receivers` existed
+LEDGER_TRANSFERS = 3049
+LEDGER_DIGEST = "f215dbc9b6ee4887d794399480f1bbc5367b4f91e27e5ce257ae55b7a3443aa5"
+
+
+def test_ledgers_pinned(corpus7):
+    rows = []
+    for g in corpus7:
+        for scheme in Scheme:
+            ledger = apply_rules(
+                g, classify(g, scheme).labels, builtin_ruleset(scheme),
+                initial_charges(g, scheme_target(scheme)),
+            )
+            rows.append([
+                to_graph6(g),
+                scheme.value,
+                [str(ledger.initial[v]) for v in range(g.n)],
+                [str(ledger.final[v]) for v in range(g.n)],
+                [[rid, v, u, str(a)] for rid, v, u, a in ledger.transfers],
+            ])
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    transfers = sum(len(row[4]) for row in rows)
+    assert (transfers, digest) == (LEDGER_TRANSFERS, LEDGER_DIGEST)
 
 
 def test_int_charges_come_back_as_fractions():

@@ -341,6 +341,16 @@ def test_parse_edge_list():
         parse_edge_list("# header\nn=five\n0 1\n")
     with pytest.raises(ValueError, match=r"^line 1: n not in 0\.\.1000000$"):
         parse_edge_list("n=-1\n")
+    with pytest.raises(ValueError, match=r"^line 1: vertex id not in 0\.\.999999$"):
+        parse_edge_list("-1 2\n")
+    # ids and counts are ASCII decimal: no underscores, no '+', no other
+    # scripts' digits (int() alone takes all three)
+    with pytest.raises(ValueError, match=r"^line 1: bad vertex count 'n=1_0'$"):
+        parse_edge_list("n=1_0\n+0 \u0663\n")
+    for line in ("+0 1", "0 \u0663", "0 1_0"):
+        with pytest.raises(ValueError, match=r"^line 2: non-integer id in "):
+            parse_edge_list(f"n=20\n{line}\n")
+    assert parse_edge_list("n= 5\n-0 1\n").n == 5
 
 
 def test_edge_list_vertex_count_has_a_ceiling():
