@@ -55,10 +55,34 @@ class AuditRecord(NamedTuple):
     patterns: tuple  # catalog pattern ids found in the closed neighborhood
 
 
+def _exact(x, what):
+    """x as a Fraction; a float or bool is refused, since a binary float
+    is rarely the rational it was written as (3.09 becomes p / 2**48)."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (bool, float)):
+        raise ValueError(
+            f"{what} must be exact (an int, a Fraction or a \"p/q\" "
+            f"string), got {x!r}"
+        )
+    return Fraction(x)
+
+
 def initial_charges(g, target):
-    """Charge degree(v) minus target for every vertex, as Fractions."""
-    target = Fraction(target)
-    return {v: g.degree(v) - target for v in range(g.n)}
+    """Charge degree(v) minus target for every vertex, as Fractions.
+
+    The target is an int, a Fraction or a "p/q" string; a float or bool
+    raises ValueError.  Vertices of equal degree share one Fraction.
+    """
+    target = _exact(target, "target")
+    by_degree = {}
+    charges = {}
+    for v, d in enumerate(g.degrees()):
+        c = by_degree.get(d)
+        if c is None:
+            c = by_degree[d] = d - target
+        charges[v] = c
+    return charges
 
 
 _L = ClassLabel
@@ -180,16 +204,17 @@ def apply_rules(g, labels, rules, charges):
 
     Unlabeled (UNCLASSIFIED) vertices never send and never receive: no
     rule class matches them.  Rules are not checked against a scheme
-    here; `load_ruleset` checks those that come from outside.
+    here; `load_ruleset` checks those that come from outside.  Charges
+    are read as `initial_charges` reads its target: a float or bool one
+    raises ValueError.
 
     The transfer log is sorted by (rule id, sender, receiver), so equal
     inputs always produce byte-equal ledgers.
     """
-    # initial_charges already gives Fractions; convert anything else
     initial = {}
     for v in range(g.n):
         c = charges[v]
-        initial[v] = c if isinstance(c, Fraction) else Fraction(c)
+        initial[v] = c if isinstance(c, Fraction) else _exact(c, f"charge {v}")
     final = dict(initial)
     transfers = []
     for rule in rules:
@@ -203,9 +228,11 @@ def apply_rules(g, labels, rules, charges):
                 final[u] += rule.amount
                 transfers.append((rule.id, v, u, rule.amount))
     transfers.sort(key=lambda t: (t[0], t[1], t[2]))
-    assert sum(final.values(), Fraction(0)) == sum(
-        initial.values(), Fraction(0)
-    ), "transfers must conserve total charge"
+    # sum(final) == sum(initial), summed over the vertices that changed: a
+    # vertex still holding its initial object adds exactly 0
+    assert sum(
+        final[v] - initial[v] for v in final if final[v] is not initial[v]
+    ) == 0, "transfers must conserve total charge"
     return ChargeLedger(initial, final, tuple(transfers))
 
 
@@ -220,23 +247,35 @@ def audit_negative(ledger, g, matches):
     cataloged explanation.  `matches` is the find_configurations result
     for g under the ledger's labels and scheme.  The matches are indexed
     by host vertex once, so each negative vertex reads only its closed
-    neighborhood.
+    neighborhood.  The ids found at each host vertex are kept as one bitmask
+    over the sorted distinct ids, and each distinct closed-neighborhood mask
+    is spelt out as its id tuple once per call.
     """
+    # a Fraction is negative exactly when its numerator is
     negatives = sorted(
-        v for v, charge in ledger.final.items() if charge < 0
+        v for v, charge in ledger.final.items() if charge.numerator < 0
     )
     if not negatives:
         return []
-    hits_at = {}
+    ids = sorted({m.pattern_id for m in matches})
+    bit = {pid: 1 << i for i, pid in enumerate(ids)}
+    hits_at = {}  # host vertex -> bitmask of the ids matched on it
     for m in matches:
+        b = bit[m.pattern_id]
         for _, h in m.assignment:
-            hits_at.setdefault(h, set()).add(m.pattern_id)
+            hits_at[h] = hits_at.get(h, 0) | b
+    named = {}  # closed-neighborhood mask -> its sorted id tuple
     records = []
     for v in negatives:
-        hits = set(hits_at.get(v, ()))
+        mask = hits_at.get(v, 0)
         for u in g.neighbors(v):
-            hits.update(hits_at.get(u, ()))
-        records.append(AuditRecord(v, ledger.final[v], tuple(sorted(hits))))
+            mask |= hits_at.get(u, 0)
+        found = named.get(mask)
+        if found is None:
+            found = named[mask] = tuple(
+                pid for i, pid in enumerate(ids) if mask >> i & 1
+            )
+        records.append(AuditRecord(v, ledger.final[v], found))
     return records
 
 

@@ -124,6 +124,10 @@ class Graph:
     def degree(self, v):
         return len(self._adj[v])
 
+    def degrees(self):
+        """The degree of every vertex, as a list in vertex order."""
+        return list(map(len, self._adj))
+
     def max_degree(self):
         return max((len(a) for a in self._adj), default=0)
 
@@ -184,15 +188,19 @@ def build_conflict_graph(g):
     """Compute the full sees-relation of g as a :class:`ConflictGraph`.
 
     For edge e = (u, v), every edge that sees e is incident to some vertex
-    of N(u) ∪ N(v) (the endpoints themselves included, since u ∈ N(v)), so
-    the neighborhood is gathered by one sweep over that vertex set.
+    of N(u) ∪ N(v) (the endpoints themselves included, since u ∈ N(v)).
+    So each vertex x gets its ball, the set of edge ids incident to N(x),
+    once, and the edges e sees are ball[u] | ball[v] without e itself.
     """
+    ball = []
+    for x in range(g.n):
+        near = set()
+        for y in g.neighbors(x):
+            near.update(g.incident_edges(y))
+        ball.append(near)
     sees = []
     for e, (u, v) in enumerate(g.edges):
-        near = set()
-        ball = set(g.neighbors(u)) | set(g.neighbors(v))
-        for x in ball:
-            near.update(g.incident_edges(x))
+        near = ball[u] | ball[v]
         near.discard(e)
         sees.append(tuple(sorted(near)))
     return ConflictGraph(g, tuple(sees))

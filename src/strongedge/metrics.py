@@ -1,15 +1,19 @@
 """Exact sparseness metrics: Ore degree, maximum average degree, bound formulas.
 
 mad(G) is the maximum of 2|E(S)|/|S| over nonempty vertex subsets S.  It is
-computed by Dinkelbach iteration on a min cut: from rho = m/n, each cut
-either finds a set S denser than rho, which sets rho = |E(S)|/|S|, or
-proves that no set beats rho.  rho rises strictly through the finitely many
-values |E(S)|/|S|, so it stops exactly at the maximum density.  The cut is
-Goldberg's density network (Goldberg 1984) with the flow that runs straight
-source -> v -> sink taken out: only each vertex's excess d(v) - 2*rho over
-the host edges is routed, which is Hakimi's orientation test (Hakimi 1965).
-Taking that flow out lowers every cut by the same constant, so the cuts,
-and the witness read from them, are Goldberg's.
+computed by Dinkelbach iteration on a min cut.  The start rho is the best
+density |E(S)|/|S| over the sets a min-degree peel passes through
+(Charikar's greedy peeling, APPROX 2000), computed with degree buckets in
+O(n + m); it is already the maximum on most small graphs.  Each cut either
+finds a set S denser than rho, which sets rho = |E(S)|/|S|, or proves that
+no set beats rho.  rho rises strictly through the finitely many values
+|E(S)|/|S|, so it stops exactly at the maximum density, and the witness is
+read from the cut that proves it.  The cut is Goldberg's density network
+(Goldberg 1984) with the flow that runs straight source -> v -> sink taken
+out: only each vertex's excess d(v) - 2*rho over the host edges is routed,
+which is Hakimi's orientation test (Hakimi 1965).  Taking that flow out
+lowers every cut by the same constant, so the cuts, and the witness read
+from them, are Goldberg's.
 
 All rationals are ``fractions.Fraction``; nothing here ever rounds.
 """
@@ -24,7 +28,8 @@ def ore_degree(g):
     """max d(u)+d(v) over edges uv; undefined (ValueError) for edgeless graphs."""
     if g.m == 0:
         raise ValueError("Ore degree is undefined for an edgeless graph")
-    return max(g.degree(u) + g.degree(v) for u, v in g.edges)
+    deg = g.degrees()
+    return max([deg[u] + deg[v] for u, v in g.edges])
 
 
 def conjectured_bound(theta):
@@ -164,9 +169,67 @@ class _Dinic:
                     u = to[path.pop() ^ 1]
                     it[u] += 1
 
+    def cannot_reach(self, t):
+        """Per node, True when it cannot reach t in the residual network.
 
-def _dense_subset(g, rho):
-    """A vertex set S with |E(S)|/|S| > rho, or None if none exists.
+        After a maximum flow these nodes are the source side of the
+        minimum cut farthest from the source, the largest one: the search
+        walks backwards from t over the arcs with residual capacity left.
+        """
+        head, to, cap = self.head, self.to, self.cap
+        stuck = [True] * self.n
+        stuck[t] = False
+        queue = [t]
+        for v in queue:
+            for a in head[v]:
+                u = to[a]
+                if stuck[u] and cap[a ^ 1] > 0:  # a ^ 1 is the arc u -> v
+                    stuck[u] = False
+                    queue.append(u)
+        return stuck
+
+
+def _peel_density(g):
+    """The best |E(S)|/|S| over the sets a min-degree peel passes through.
+
+    The whole graph comes first; then a vertex of least remaining degree
+    leaves, one at a time.  Degrees only fall, and by one per removed
+    neighbor, so lazy buckets indexed by degree find each minimum in
+    amortized constant time: an entry whose vertex is gone, or whose
+    degree has fallen since it was filed, is skipped.
+    """
+    n = g.n
+    deg = g.degrees()
+    buckets = [[] for _ in range(max(deg) + 1)]
+    for v in range(n - 1, -1, -1):  # pop() takes the smallest id first
+        buckets[deg[v]].append(v)
+    gone = [False] * n
+    edges, size = g.m, n
+    best_edges, best_size = edges, size
+    d = 0
+    while edges:
+        while not buckets[d]:
+            d += 1
+        v = buckets[d].pop()
+        if gone[v] or deg[v] != d:
+            continue
+        gone[v] = True
+        edges -= d
+        size -= 1
+        for u in g.neighbors(v):
+            if not gone[u]:
+                deg[u] -= 1
+                buckets[deg[u]].append(u)
+        if d:
+            d -= 1
+        if edges * best_size > best_edges * size:
+            best_edges, best_size = edges, size
+    return Fraction(best_edges, best_size)
+
+
+def _density_cut(g, rho):
+    """(beaten, S): whether some vertex set is denser than rho, and the
+    largest vertex set S that maximises |E(S)| - rho*|S|.
 
     Goldberg's network with rho = a/b, scaled by b: source->v capacity
     m*b, v->sink capacity m*b + 2a - d(v)*b, and b both ways across each
@@ -175,33 +238,33 @@ def _dense_subset(g, rho):
     beats density rho.  Every path s->v->t is saturated first: that
     leaves source->v with the excess (d(v)*b - 2a)+, v->sink with the
     deficit (2a - d(v)*b)+, and lowers every cut's capacity by the same
-    constant n*m*b - (total excess).  So the minimum cuts, and the
-    smallest source side among them, are unchanged, and some S beats rho
-    exactly when the flow of this excess network stays below the total
-    excess (Hakimi's orientation test).  S is then that smallest source
-    side, the vertices the flow's last breadth-first search reaches.
-    With no excess every vertex has d(v) <= 2*rho, so no set beats rho
-    and no network is built.
+    constant n*m*b - (total excess).  So the minimum cuts are unchanged,
+    and some S beats rho exactly when the flow of this excess network
+    stays below the total excess (Hakimi's orientation test).  S is the
+    largest minimum-cut source side, the vertices that cannot reach the
+    sink once the flow is in.  When S beats rho its density exceeds rho;
+    when nothing does, S is the union of every set of density exactly rho
+    (empty when no set attains rho).  The network is built also when no
+    vertex has excess: the flow is then 0, and S is the union of the
+    components in which every vertex has degree 2*rho.
     """
     n = g.n
     a, b = rho.numerator, rho.denominator
-    balance = [g.degree(v) * b - 2 * a for v in range(n)]
-    excess = sum(x for x in balance if x > 0)
-    if not excess:
-        return None
     s, t = n, n + 1
     net = _Dinic(n + 2)
-    for v, x in enumerate(balance):
+    excess = 0
+    for v, d in enumerate(g.degrees()):
+        x = d * b - 2 * a
         if x > 0:
             net.add(s, v, x)
+            excess += x
         elif x < 0:
             net.add(v, t, -x)
     for u, v in g.edges:
         net.add(u, v, b, b)
-    flow, level = net.max_flow(s, t)
-    if flow == excess:
-        return None
-    return tuple(v for v in range(n) if level[v] >= 0)
+    flow, _ = net.max_flow(s, t)
+    stuck = net.cannot_reach(t)
+    return flow < excess, tuple(v for v in range(n) if stuck[v])
 
 
 def mad_exact(g):
@@ -212,15 +275,18 @@ def mad_exact(g):
     of all subsets of density rho_star).  Raises ValueError on an edgeless
     graph.
 
-    The min-cut source side found at density rho is the smallest maximiser
-    of |E(S)| - rho*|S|, and these sets shrink as rho grows, so the last
-    improving set contains every densest subset and is itself one.
+    rho starts at the peel's best density and only ever takes densities
+    of actual sets, so when the cut at rho finds no denser set, rho is
+    rho_star and is attained; that final cut's largest source side is then
+    the union of all densest sets.
     """
     if g.m == 0:
         raise ValueError("mad is undefined for an edgeless graph")
-    rho, witness = Fraction(g.m, g.n), range(g.n)
-    while (dense := _dense_subset(g, rho)) is not None:
-        members = set(dense)
+    rho = _peel_density(g)
+    while True:
+        beaten, side = _density_cut(g, rho)
+        if not beaten:
+            return 2 * rho, side
+        members = set(side)
         inside = sum(1 for u, v in g.edges if u in members and v in members)
-        rho, witness = Fraction(inside, len(dense)), dense
-    return 2 * rho, tuple(sorted(witness))
+        rho = Fraction(inside, len(side))

@@ -17,19 +17,20 @@ host(i) < host(j) read off a stabilizer chain of the symmetry group
 (Grochow and Kellis, RECOMB 2007); each bounds the candidates of the
 step that places the later of its two slots, so the search emits only
 the lexicographically least placement of each symmetry orbit and never
-meets the others.  Per host, the vertex constraints are tested once per
-(degree, class label) signature, and the host's neighbor sets, signature
-groups and candidate pools are integer bitmasks.  Patterns also carry a
-replayable recipe: delete one host vertex, color what remains exactly with its
-theorem's palette (read from `classes.THEOREMS`), optionally erase a few
-edge colors, then extend the coloring back over the missing edges.  A
-recipe is data over slot names, a tuple of `Case` values checked once
-when the catalog is built, and one interpreter, `_instantiate`, reads it
-on a concrete match: it returns the host vertex to delete, the host edge
-ids to erase, and the (edge id, ceiling) rows before and after the
-erasure.  `verify_reducibility` replays the result in those ids and
-compares the observed per-edge conflict counts with the recipe's
-ceilings.
+meets the others.  Per host, each distinct slot constraint is tested
+once per (degree, class label) signature, and the host's neighbor sets,
+signature groups and candidate pools are integer bitmasks.  Every match
+is re-checked against the host on its slot vector before it is kept.
+Patterns also carry a replayable recipe: delete one host vertex, color
+what remains exactly with its theorem's palette (read from
+`classes.THEOREMS`), optionally erase a few edge colors, then extend the
+coloring back over the missing edges.  A recipe is data over slot names,
+a tuple of `Case` values checked once when the catalog is built, and one
+interpreter, `_instantiate`, reads it on a concrete match: it returns
+the host vertex to delete, the host edge ids to erase, and the (edge id,
+ceiling) rows before and after the erasure.  `verify_reducibility`
+replays the result in those ids and compares the observed per-edge
+conflict counts with the recipe's ceilings.
 """
 
 from __future__ import annotations
@@ -41,6 +42,11 @@ from typing import NamedTuple
 from .classes import THEOREMS, THETA7_3C, THETA8_4C, ClassLabel, Scheme, classify
 from .coloring import PartialColoring, erase_and_extend, k_colorable
 from .graph import ConflictGraph, Graph, build_conflict_graph
+
+
+# read per host vertex and per match; a module name is cheaper to read
+# than the Enum class attribute
+_UNCLASSIFIED = ClassLabel.UNCLASSIFIED
 
 
 class PatternVertex(NamedTuple):
@@ -136,36 +142,58 @@ class ReducibilityReport(NamedTuple):
 
 
 def _vertex_ok(pv, deg, label):
-    if pv.degree is not None and deg != pv.degree:
-        return False
-    if pv.degree_in is not None and deg not in pv.degree_in:
-        return False
-    if pv.degree_not_in is not None and deg in pv.degree_not_in:
-        return False
-    if pv.classes_in is not None and label not in pv.classes_in:
-        return False
-    if pv.classes_not_in is not None and label in pv.classes_not_in:
-        return False
-    return True
+    _, degree, degree_in, degree_not_in, classes_in, classes_not_in = pv
+    return (
+        (degree is None or deg == degree)
+        and (degree_in is None or deg in degree_in)
+        and (degree_not_in is None or deg not in degree_not_in)
+        and (classes_in is None or label in classes_in)
+        and (classes_not_in is None or label not in classes_not_in)
+    )
 
 
 def match_satisfies(g, pattern, labels, assignment):
     """Re-check a placement from scratch; True iff every constraint holds."""
-    vals = [assignment.get(pv.name) for pv in pattern.vertices]
-    if None in vals or len(set(vals)) != len(vals):
+    vec = [assignment.get(pv.name) for pv in pattern.vertices]
+    if None in vec:
         return False
-    if any(not (0 <= h < g.n) for h in vals):
+    return _slots_ok(g, pattern, labels, vec, _slot_pairs(pattern))
+
+
+@functools.cache
+def _slot_pairs(pattern):
+    """The pattern's edges and nonedges as slot-index pairs; cached."""
+    idx = {pv.name: i for i, pv in enumerate(pattern.vertices)}
+    return (
+        tuple((idx[u], idx[v]) for u, v in pattern.edges),
+        tuple((idx[u], idx[v]) for u, v in pattern.nonedges),
+    )
+
+
+def _slots_ok(g, pattern, labels, vec, pairs):
+    """`match_satisfies` on a slot vector: slot i is placed on vec[i], and
+    `pairs` is `_slot_pairs(pattern)`.
+
+    Every check is made from g itself, not from the matcher's tables: the
+    hosts are distinct and in range, each carries its slot's degree and
+    class constraints, and every pattern edge and nonedge is read through
+    `g.has_edge`.
+    """
+    if len(set(vec)) != len(vec):
         return False
-    for pv in pattern.vertices:
-        h = assignment[pv.name]
-        label = labels.get(h, ClassLabel.UNCLASSIFIED)
-        if not _vertex_ok(pv, g.degree(h), label):
+    n, degree = g.n, g.degree
+    for pv, h in zip(pattern.vertices, vec):
+        if not 0 <= h < n:
             return False
-    for u, v in pattern.edges:
-        if not g.has_edge(assignment[u], assignment[v]):
+        if not _vertex_ok(pv, degree(h), labels.get(h, _UNCLASSIFIED)):
             return False
-    for u, v in pattern.nonedges:
-        if g.has_edge(assignment[u], assignment[v]):
+    edges, nonedges = pairs
+    has_edge = g.has_edge
+    for i, j in edges:
+        if not has_edge(vec[i], vec[j]):
+            return False
+    for i, j in nonedges:
+        if has_edge(vec[i], vec[j]):
             return False
     return True
 
@@ -270,55 +298,59 @@ def _search_plan(pattern):
     return tuple(plan)
 
 
-def _find_assignments(pattern, nbrs, groups):
+def _find_assignments(pattern, nbrs, cand):
     """The constraint-satisfying slot vectors, one per pattern symmetry orbit.
 
     `nbrs[h]` is the neighbor bitmask of host vertex h (bit u set when u
-    is adjacent to h) and `groups` maps each (degree, label) signature to
-    the bitmask of the host vertices that carry it.  A step's candidates
-    are one bitmask: the slot's pool, cut by the neighbor masks of its
-    adjacent placed slots, by the complements of its apart ones, by the
-    hosts already used, and by the symmetry conditions its slot closes,
-    which keep each vector the lexicographically least of its orbit.
-    Candidates are taken lowest bit first.
+    is adjacent to h) and `cand[i]` the bitmask of the hosts that meet
+    slot i's vertex constraints, or None when some slot has no host.  A
+    step's candidates are one bitmask: the slot's pool, cut by the
+    neighbor masks of its adjacent placed slots, by the complements of its
+    apart ones, by the hosts already used, and by the symmetry conditions
+    its slot closes, which keep each vector the lexicographically least of
+    its orbit.  Candidates are taken lowest bit first.  The search keeps
+    one candidate mask per depth on an explicit stack, so it builds no
+    closure and leaves nothing for the cyclic garbage collector.
     """
     plan = _search_plan(pattern)
-    cand = []
-    for pv in pattern.vertices:
-        pool = 0
-        for (deg, label), hosts in groups.items():
-            if _vertex_ok(pv, deg, label):
-                pool |= hosts
-        if not pool:
-            return []
-        cand.append(pool)
-    p = len(plan)
-    assign = [None] * p
+    if cand is None:
+        return []
+    last = len(plan) - 1
+    assign = [0] * len(plan)
+    rest = [0] * len(plan)  # rest[d]: candidates still to try at depth d
+    used = [0] * len(plan)  # used[d]: hosts placed before depth d
     out = []
-
-    def bt(d, used):
-        if d == p:
-            out.append(tuple(assign))
-            return
-        slot, adjacent, apart, above, below = plan[d]
-        pool = cand[slot] & ~used
-        for j in adjacent:
-            pool &= nbrs[assign[j]]
-        for j in apart:
-            pool &= ~nbrs[assign[j]]
-        if above:
-            pool &= -2 << max([assign[j] for j in above])
-        if below:
-            pool &= (1 << min([assign[j] for j in below])) - 1
-        while pool:
+    d = 0
+    pool = cand[plan[0].slot]  # the first step has no earlier slots
+    while True:
+        if d == last:
+            slot = plan[d].slot
+            while pool:
+                bit = pool & -pool
+                pool ^= bit
+                assign[slot] = bit.bit_length() - 1
+                out.append(tuple(assign))
+        elif pool:
             bit = pool & -pool
-            pool ^= bit
-            assign[slot] = bit.bit_length() - 1
-            bt(d + 1, used | bit)
-        assign[slot] = None
-
-    bt(0, 0)
-    return out
+            rest[d] = pool ^ bit
+            assign[plan[d].slot] = bit.bit_length() - 1
+            d += 1
+            used[d] = used[d - 1] | bit
+            slot, adjacent, apart, above, below = plan[d]
+            pool = cand[slot] & ~used[d]
+            for j in adjacent:
+                pool &= nbrs[assign[j]]
+            for j in apart:
+                pool &= ~nbrs[assign[j]]
+            if above:
+                pool &= -2 << max([assign[j] for j in above])
+            if below:
+                pool &= (1 << min([assign[j] for j in below])) - 1
+            continue
+        if not d:
+            return out
+        d -= 1
+        pool = rest[d]
 
 
 def find_configurations(g, scheme, labels):
@@ -327,23 +359,45 @@ def find_configurations(g, scheme, labels):
     Two placements that differ by a symmetry of the pattern itself count
     as one match; the representative kept is the lexicographically least
     host-vertex vector, the only one the search emits.  Output is sorted
-    by (pattern id, that vector).
+    by (pattern id, that vector).  A slot's host pool is built once per
+    distinct vertex constraint within the call, since catalog slots repeat
+    the same constraints, and a pattern's pools stop at its first empty
+    one.  Every match is re-checked against g by `_slots_ok` before it is
+    kept.
     """
     nbrs = [0] * g.n
     for u, v in g.edges:
         nbrs[u] |= 1 << v
         nbrs[v] |= 1 << u
     groups = {}
-    for h in range(g.n):
-        sig = (g.degree(h), labels.get(h, ClassLabel.UNCLASSIFIED))
+    for h, deg in enumerate(g.degrees()):
+        sig = (deg, labels.get(h, _UNCLASSIFIED))
         groups[sig] = groups.get(sig, 0) | 1 << h
+    pools = {}  # vertex constraints (a PatternVertex past its name) -> hosts
     matches = []
     for pattern in sorted(catalog(scheme), key=lambda pat: pat.id):
+        cand = []
+        for pv in pattern.vertices:
+            key = pv[1:]
+            pool = pools.get(key)
+            if pool is None:
+                pool = 0
+                for (deg, label), hosts in groups.items():
+                    if _vertex_ok(pv, deg, label):
+                        pool |= hosts
+                pools[key] = pool
+            if not pool:
+                cand = None
+                break
+            cand.append(pool)
+        vecs = _find_assignments(pattern, nbrs, cand)
+        if not vecs:
+            continue
+        pid, pairs = pattern.id, _slot_pairs(pattern)
         names = [pv.name for pv in pattern.vertices]
-        for vec in sorted(_find_assignments(pattern, nbrs, groups)):
-            assignment = tuple(zip(names, vec))
-            assert match_satisfies(g, pattern, labels, dict(assignment))
-            matches.append(ConfigurationMatch(pattern.id, assignment))
+        for vec in sorted(vecs):
+            assert _slots_ok(g, pattern, labels, vec, pairs)
+            matches.append(ConfigurationMatch(pid, tuple(zip(names, vec))))
     return matches
 
 

@@ -95,6 +95,20 @@ def test_initial_charges_values():
     assert charges[0] == Fraction(10, 11) and charges[6] == Fraction(-1, 11)
 
 
+def test_inexact_targets_and_charges_are_refused():
+    g = Graph(*oracles.cycle(5))
+    for bad in (3.09, 3.0, True):
+        with pytest.raises(ValueError, match=repr(bad)):
+            initial_charges(g, bad)
+    for bad in (0.5, False):
+        with pytest.raises(ValueError, match=repr(bad)):
+            apply_rules(g, {}, [], charges={v: bad for v in range(g.n)})
+    # exact spellings of the same targets still work
+    for exact in (3, Fraction(34, 11), "34/11"):
+        charges = initial_charges(g, exact)
+        assert all(c == 2 - Fraction(exact) for c in charges.values())
+
+
 def test_petersen_flow_is_empty_and_negative():
     g = Graph(*oracles.petersen())
     labels = classify(g, Scheme.THETA7).labels

@@ -15,6 +15,7 @@ from strongedge import (
     mad_exact,
     mad_upper_bound,
     ore_degree,
+    parse_graph6,
 )
 from strongedge.metrics import _Dinic
 
@@ -122,6 +123,30 @@ def test_mad_exact_beyond_bruteforce_range():
     # paths about 3000 arcs long, deeper than the default recursion limit.
     g = Graph(3000, [(0, 2)] + [(v, v + 1) for v in range(2999)])
     assert mad_exact(g) == (2, tuple(range(3000)))
+
+
+def _disjoint(a_case, b_case):
+    an, aedges = a_case
+    bn, bedges = b_case
+    return Graph(an + bn, list(aedges) + [(u + an, v + an) for u, v in bedges])
+
+
+@pytest.mark.parametrize(
+    "g, value, witness",
+    [
+        # the peel's best set has average degree 22/7 here, so a second
+        # cut is needed to reach the 5-vertex set of 16/5
+        (parse_graph6("Fu|?g"), Fraction(16, 5), (0, 1, 2, 3, 4)),
+        # no vertex has excess at rho = 1: both 2-regular parts are densest
+        (_disjoint(oracles.cycle(5), oracles.cycle(4)), 2, tuple(range(9))),
+        (_disjoint(oracles.cycle(5), oracles.path(3)), 2, (0, 1, 2, 3, 4)),
+        (_disjoint(oracles.complete(4), oracles.cycle(5)), 3, (0, 1, 2, 3)),
+    ],
+    ids=["Fu|?g", "C5+C4", "C5+P3", "K4+C5"],
+)
+def test_mad_witness_is_read_from_the_final_cut(g, value, witness):
+    assert mad_exact(g) == (value, witness)
+    assert witness == oracles.largest_densest_subset(g.n, list(g.edges))
 
 
 def test_mad_of_regular_graphs_is_the_degree():

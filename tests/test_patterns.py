@@ -613,6 +613,17 @@ def test_match_satisfies_refuses_broken_placements():
     assert not match_satisfies(chord, pattern, labels, place)
 
 
+def test_every_match_is_rechecked(monkeypatch):
+    # the matcher's per-match re-check runs on the hot path: a re-check
+    # that refuses every placement stops the first match of GspqPc
+    g = parse_graph6("GspqPc")
+    labels = classify(g, Scheme.THETA7).labels
+    assert find_configurations(g, Scheme.THETA7, labels)
+    monkeypatch.setattr(patterns_module, "_slots_ok", lambda *args: False)
+    with pytest.raises(AssertionError):
+        find_configurations(g, Scheme.THETA7, labels)
+
+
 def _union(a_case, b_case):
     an, aedges = a_case
     bn, bedges = b_case

@@ -1,5 +1,6 @@
 """End-to-end theorem verification runs and their JSON reports."""
 
+import gc
 import json
 from fractions import Fraction
 
@@ -10,9 +11,13 @@ import strongedge.verify
 from strongedge import (
     ChiResult,
     Graph,
+    Scheme,
     build_conflict_graph,
     chi_s_exact,
+    classify,
     emit_report,
+    find_configurations,
+    mad_exact,
     parse_graph6,
     report_to_json,
     verify_theorem,
@@ -294,3 +299,32 @@ def test_report_json_is_json_dumps_layout(corpus6):
     assert any("\\" in r.graph6 for r in reports[-1].records)
     for report in reports:
         assert report_to_json(report) == _reference_json(report)
+
+
+def test_hot_path_leaves_no_cyclic_garbage():
+    # every stage a sweep runs frees its objects by reference counting, so
+    # the cyclic collector finds nothing once the stages have run
+    paw = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    hosts = [parse_graph6("GspqPc"), paw]
+    labels = {
+        (g, scheme): classify(g, scheme).labels
+        for g in hosts
+        for scheme in (Scheme.THETA7, Scheme.THETA8)
+    }
+
+    def stages():
+        for (g, scheme), lab in labels.items():
+            find_configurations(g, scheme, lab)
+        for g in hosts:
+            mad_exact(g)
+            chi_s_exact(build_conflict_graph(g))
+            verify_theorem(1, [g], jobs=1)
+
+    stages()  # warm-up: caches and lazy imports
+    gc.collect()
+    gc.disable()
+    try:
+        stages()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
